@@ -103,6 +103,8 @@ def spider_move(g, weights, face_id, tag="sp"):
         vertices[n_ids[i]] = WHITE if g.color(corners[i]) == BLACK else BLACK
 
     delta = weights[old_edges[0]] * weights[old_edges[2]] + weights[old_edges[1]] * weights[old_edges[3]]
+    if delta == 0:
+        raise MoveNotApplicable("face %s has Delta = ac + bd = 0" % face_id)
     for i in range(4):
         ci, ni = corners[i], n_ids[i]
         if g.color(ci) == BLACK:

@@ -156,7 +156,17 @@ def validate_polygon(vertices):
     degenerate input raises.  Three consecutive collinear vertices are
     rejected so that sides and their multiplicities are well defined.
     """
-    vs = [tuple(int(c) for c in v) for v in vertices]
+    if not isinstance(vertices, (list, tuple)):
+        raise PolygonError("vertices must be a list of integer pairs")
+    vs = []
+    for i, v in enumerate(vertices):
+        if not (
+            isinstance(v, (list, tuple))
+            and len(v) == 2
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in v)
+        ):
+            raise PolygonError("vertex %d %r is not a pair of integers" % (i, v))
+        vs.append(tuple(v))
     if len(vs) < 3:
         raise NotConvex("a polygon needs at least 3 vertices")
     if len(set(vs)) != len(vs):
@@ -370,4 +380,6 @@ def load_polygon(handle_or_dict):
     data = handle_or_dict
     if not isinstance(data, dict):
         data = json.load(data)
-    return validate_polygon([tuple(v) for v in data["vertices"]])
+    if not isinstance(data, dict):
+        raise PolygonError('a polygon is a JSON object {"vertices": [[x, y], ...]}')
+    return validate_polygon(data["vertices"])

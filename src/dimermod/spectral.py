@@ -1,9 +1,11 @@
 """Kasteleyn characteristic polynomial and the discrete Abel map.
 
 Laurent polynomials in (z, w) are sparse maps from integer exponent pairs to
-exact rationals.  Determinants are expanded by memoized Laplace expansion
-over column subsets, which stays in the Laurent ring and avoids division
-entirely; the graphs here are desk scale.
+exact rationals.  det K(z, w) is found by evaluation and interpolation: after
+a monomial shift and a rational scale per row, K has integer polynomial
+entries, the degree box is the sum of the rows' exponent spans, and integer
+determinants (Bareiss) on that grid of points are interpolated exactly.  The
+cost is polynomial in the number of vertices; nothing is floating point.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from . import polygon as poly
-from .torusgraph import GraphError, UnbalancedColors, WHITE
+from . import intlin, polygon as poly
+from .torusgraph import GraphError, UnbalancedColors, WHITE, _parse_rational, format_rational
 
 
 class ZeroPolynomial(ValueError):
@@ -115,13 +118,7 @@ class LaurentPoly2:
     def to_json(self):
         return {
             "terms": [
-                {
-                    "z": i,
-                    "w": j,
-                    "coeff": "%d/%d" % (c.numerator, c.denominator)
-                    if c.denominator != 1
-                    else str(c.numerator),
-                }
+                {"z": i, "w": j, "coeff": format_rational(c)}
                 for (i, j), c in sorted(self.terms.items())
             ]
         }
@@ -130,12 +127,14 @@ class LaurentPoly2:
     def from_json(cls, data):
         if not isinstance(data, dict):
             data = json.load(data)
-        terms = {}
-        for t in data["terms"]:
-            s = str(t["coeff"])
-            c = Fraction(int(s.split("/")[0]), int(s.split("/")[1])) if "/" in s else Fraction(int(s))
-            terms[(t["z"], t["w"])] = c
-        return cls(terms)
+        return cls(
+            {
+                (t["z"], t["w"]): _parse_rational(
+                    t["coeff"], "coefficient of z^%s w^%s" % (t["z"], t["w"])
+                )
+                for t in data["terms"]
+            }
+        )
 
     def __repr__(self):
         bits = []
@@ -211,8 +210,12 @@ def kasteleyn_signs(g):
     return {e: (-1) ** x[idx[e]] for e in edge_ids}
 
 
-def kasteleyn_polynomial(g, weights, signs=None):
-    """det K(z, w) for the signed, homology-graded Kasteleyn matrix."""
+def kasteleyn_matrix(g, weights, signs=None):
+    """K(z, w): rows by black vertex, columns by white vertex, both sorted.
+
+    Entry (b, w) sums sign(e) * weight(e) * z^i w^j over the edges e from b
+    to w with displacement (i, j).
+    """
     blacks = sorted(v for v, c in g.vertices.items() if c == "b")
     whites = sorted(v for v, c in g.vertices.items() if c == "w")
     if len(blacks) != len(whites):
@@ -226,33 +229,88 @@ def kasteleyn_polynomial(g, weights, signs=None):
     for e, (b, w, d) in g.edges.items():
         term = LaurentPoly2.monomial(Fraction(signs[e]) * weights[e], d[0], d[1])
         mat[bi[b]][wi[w]] = mat[bi[b]][wi[w]] + term
-    return _det_laplace(mat)
+    return mat
 
 
-def _det_laplace(mat):
-    """Determinant over the Laurent ring by subset-memoized expansion."""
-    n = len(mat)
-    if n == 0:
-        return LaurentPoly2.monomial(1, 0, 0)
-    cache = {(): LaurentPoly2.monomial(1, 0, 0)}
+def kasteleyn_polynomial(g, weights, signs=None):
+    """det K(z, w) for the signed, homology-graded Kasteleyn matrix."""
+    return laurent_det(kasteleyn_matrix(g, weights, signs))
 
-    def minor(cols):
-        if cols in cache:
-            return cache[cols]
-        row = n - len(cols)
-        acc = LaurentPoly2()
-        for pos, c in enumerate(cols):
-            entry = mat[row][c]
-            if entry.is_zero():
-                continue
-            rest = cols[:pos] + cols[pos + 1 :]
-            sub = minor(rest)
-            term = entry * sub
-            acc = acc + term if pos % 2 == 0 else acc - term
-        cache[cols] = acc
-        return acc
 
-    return minor(tuple(range(n)))
+def laurent_det(mat):
+    """Exact determinant of a square matrix of LaurentPoly2 entries.
+
+    Row r is multiplied by z^-a_r w^-b_r (its least exponents) and by the lcm
+    s_r of its coefficient denominators, which leaves integer polynomials.
+    Every term of the determinant takes one entry from each row, so its
+    degrees are at most the sums Dz, Dw of the rows' exponent spans.  The
+    integer determinant is taken at every point of (0..Dz) x (0..Dw) and
+    interpolated, first in w and then in z; dividing by prod s_r and
+    multiplying by z^(sum a_r) w^(sum b_r) undoes the row scaling.
+    """
+    shift_z = shift_w = dz = dw = 0
+    scale = 1
+    rows = []
+    for row in mat:
+        terms = [(col, i, j, c) for col, p in enumerate(row) for (i, j), c in p.terms.items()]
+        if not terms:
+            return LaurentPoly2()
+        lo_i = min(t[1] for t in terms)
+        lo_j = min(t[2] for t in terms)
+        m = lcm(*(t[3].denominator for t in terms))
+        shift_z += lo_i
+        shift_w += lo_j
+        dz += max(t[1] for t in terms) - lo_i
+        dw += max(t[2] for t in terms) - lo_j
+        scale *= m
+        rows.append([(col, i - lo_i, j - lo_j, int(c * m)) for col, i, j, c in terms])
+    n = len(rows)
+    by_z = []
+    for a in range(dz + 1):
+        pa = [a**k for k in range(dz + 1)]
+        values = []
+        for b in range(dw + 1):
+            pb = [b**k for k in range(dw + 1)]
+            num = [[0] * n for _ in range(n)]
+            for r, terms in enumerate(rows):
+                nr = num[r]
+                for col, i, j, c in terms:
+                    nr[col] += c * pa[i] * pb[j]
+            values.append(intlin.det(num))
+        by_z.append(_interpolate(values))
+    out = {}
+    for j in range(dw + 1):
+        for i, c in enumerate(_interpolate([coeffs[j] for coeffs in by_z])):
+            if c:
+                out[(i + shift_z, j + shift_w)] = Fraction(c, scale)
+    return LaurentPoly2(out)
+
+
+def _interpolate(values):
+    """Coefficients of the integer polynomial f of degree < len(values) with f(x) = values[x].
+
+    The forward differences give f = sum_k c_k x(x-1)...(x-k+1) with
+    c_k = (Delta^k f)(0) / k!, an integer because f has integer coefficients;
+    Horner's rule in that basis then yields the monomial coefficients.
+    """
+    d = list(values)
+    for k in range(1, len(d)):
+        for x in range(len(d) - 1, k - 1, -1):
+            d[x] -= d[x - 1]
+    newton = []
+    fact = 1
+    for k, v in enumerate(d):
+        if k:
+            fact *= k
+        newton.append(v // fact)
+    coeffs = []
+    for k in range(len(newton) - 1, -1, -1):
+        # coeffs <- coeffs * (x - k) + newton[k]
+        coeffs = [0] + coeffs
+        for t in range(len(coeffs) - 1):
+            coeffs[t] -= k * coeffs[t + 1]
+        coeffs[0] += newton[k]
+    return coeffs
 
 
 def matching_polynomial(g, weights, signs=None):

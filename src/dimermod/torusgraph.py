@@ -547,16 +547,24 @@ def random_weights(g, rng, max_val=9):
 
 
 def parse_weights(data):
-    return {e: _parse_rational(v) for e, v in data.items()}
+    if not isinstance(data, dict):
+        raise ValueError("weights must be a JSON object mapping edge ids to rationals")
+    return {e: _parse_rational(v, "edge %s" % e) for e, v in data.items()}
 
 
-def _parse_rational(s):
-    if isinstance(s, int):
+def _parse_rational(s, what):
+    """An int, or a string "p" or "p/q", as an exact Fraction; `what` names the input in errors."""
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    if "/" in s:
-        p, q = s.split("/")
-        return Fraction(int(p), int(q))
-    return Fraction(int(s))
+    try:
+        nums = [int(x) for x in s.split("/")] if isinstance(s, str) else []
+    except ValueError:
+        nums = []
+    if len(nums) not in (1, 2):
+        raise ValueError("%s: %r is not an integer or a string p/q" % (what, s))
+    if len(nums) == 2 and nums[1] == 0:
+        raise ValueError("%s: zero denominator in %r" % (what, s))
+    return Fraction(*nums)
 
 
 def format_rational(x):

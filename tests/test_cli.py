@@ -2,7 +2,7 @@
 
 import json
 
-from dimermod import cli
+from dimermod import cli, torusgraph as tg
 from dimermod.suites import bundled_script
 
 DIAMOND = {"vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]]}
@@ -127,6 +127,23 @@ def test_input_error_exit_code(tmp_path, capsys):
     p = _write(tmp_path, "flat.json", {"vertices": [[0, 0], [1, 0], [2, 0]]})
     assert cli.main(["group", "compute", "--polygon", p]) == 2
     capsys.readouterr()
+
+    # each fault exits 2 without a traceback and names the edge, face or vertex
+    w = _write(tmp_path, "w.json", {"e0": "1/0", "e1": "1", "e2": "1"})
+    square = bundled_script("domino_shuffle")
+    s = _write(tmp_path, "s.json", square)
+    spider = square["moves"][0]["spider"]
+    ones = {e: ("-1" if e == "h0,0" else "1") for e in tg.catalog("square_lattice").graph.edges}
+    sw = _write(tmp_path, "sw.json", ones)
+    p = _write(tmp_path, "half.json", {"vertices": [[0, 0], [2.5, 0], [0, 2]]})
+    for argv, named in (
+        (["spectral", "poly", "--graph", "honeycomb", "--weights", w], "edge e0"),
+        (["shuffle", "apply", "--script", s, "--weights", sw], "face %s" % spider),
+        (["group", "compute", "--polygon", p], "vertex 1 [2.5, 0]"),
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
 
 def test_verify_all_reports_corrupted_catalog(tmp_path, capsys, monkeypatch):

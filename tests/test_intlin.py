@@ -1,5 +1,6 @@
 """Smith/Hermite forms and group presentations, exact."""
 
+import itertools
 import random
 
 import pytest
@@ -122,3 +123,26 @@ def test_saturation_basis_of_worked_matrix():
     mat = [[sat[0][i], sat[1][i]] for i in range(4)]
     assert intlin.in_image(target, mat)
     assert not intlin.in_image(target, DIAMOND_B)
+
+
+def _det_by_permutations(a):
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def test_det_matches_permutation_expansion():
+    rng = random.Random(13)
+    for n in range(6):
+        for _ in range(25):
+            # sparse entries force zero pivots and row swaps; some draws are singular
+            a = [[rng.choice((0, 0, 0, rng.randint(-50, 50))) for _ in range(n)] for _ in range(n)]
+            assert intlin.det(a) == _det_by_permutations(a)
+    with pytest.raises(intlin.DimensionMismatch):
+        intlin.det([[1, 2]])

@@ -20,6 +20,15 @@ def test_spider_rejects_non_quad():
         moves.spider_move(g, tg.all_ones_weights(g), "f0")
 
 
+def test_spider_rejects_zero_delta():
+    g = _square()
+    face = g.face_by_id("f0")
+    w = tg.all_ones_weights(g)
+    w[face.darts[0][0]] = Fraction(-1)  # Delta = (-1)(1) + (1)(1)
+    with pytest.raises(moves.MoveNotApplicable, match="face f0"):
+        moves.spider_move(g, w, "f0")
+
+
 def test_spider_all_ones_delta():
     g = _square()
     out = moves.spider_move(g, tg.all_ones_weights(g), "f0", tag="t")

@@ -38,6 +38,16 @@ def test_validate_rejects():
         poly.validate_polygon([(0, 0), (1, 0)])
 
 
+def test_validate_rejects_non_integer_vertices():
+    for bad in (2.5, 2.0, True, "2", None):
+        with pytest.raises(poly.PolygonError, match="vertex 1"):
+            poly.validate_polygon([(0, 0), (bad, 0), (0, 2)])
+    with pytest.raises(poly.PolygonError, match="vertex 2"):
+        poly.validate_polygon([(0, 0), (2, 0), (0, 2, 1)])
+    with pytest.raises(poly.PolygonError):
+        poly.load_polygon({"vertices": 3})
+
+
 def test_clockwise_input_reversed():
     p = poly.validate_polygon(list(reversed(DIAMOND)))
     assert p.area2() > 0

@@ -65,9 +65,99 @@ def test_determinant_matches_matching_oracle():
             assert sp.kasteleyn_polynomial(g, w) == sp.matching_polynomial(g, w)
 
 
+def _det_laplace(mat):
+    """Reference determinant over the Laurent ring by subset-memoized expansion.
+
+    Time and memory grow as 2^n; keep it to n <= 18.
+    """
+    n = len(mat)
+    if n == 0:
+        return sp.LaurentPoly2.monomial(1, 0, 0)
+    cache = {(): sp.LaurentPoly2.monomial(1, 0, 0)}
+
+    def minor(cols):
+        if cols in cache:
+            return cache[cols]
+        row = n - len(cols)
+        acc = sp.LaurentPoly2()
+        for pos, c in enumerate(cols):
+            entry = mat[row][c]
+            if entry.is_zero():
+                continue
+            rest = cols[:pos] + cols[pos + 1 :]
+            term = entry * minor(rest)
+            acc = acc + term if pos % 2 == 0 else acc - term
+        cache[cols] = acc
+        return acc
+
+    return minor(tuple(range(n)))
+
+
+def _signed_weights(g, rng):
+    """Random p/q weights of both signs, with one edge weighted 0."""
+    w = {
+        e: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        for e in sorted(g.edges)
+    }
+    w[rng.choice(sorted(g.edges))] = Fraction(0)
+    return w
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "honeycomb",
+        "honeycomb_2",
+        "honeycomb_3",
+        "honeycomb_4",
+        "square_lattice",
+        "square_lattice_2",
+        "square_lattice_3",
+    ],
+)
+def test_interpolated_determinant_matches_laplace(name):
+    rng = random.Random(name)
+    g = tg.catalog(name).graph
+    for weights in (tg.random_weights(g, rng), _signed_weights(g, rng)):
+        mat = sp.kasteleyn_matrix(g, weights)
+        assert sp.laurent_det(mat) == _det_laplace(mat)
+
+
+def test_laurent_det_small_matrices():
+    rng = random.Random(5)
+    for n in range(5):
+        for _ in range(20):
+            mat = [
+                [
+                    sp.LaurentPoly2(
+                        {
+                            (rng.randint(-2, 2), rng.randint(-2, 2)): Fraction(
+                                rng.randint(-4, 4), rng.randint(1, 4)
+                            )
+                            for _ in range(rng.randint(0, 3))
+                        }
+                    )
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+            assert sp.laurent_det(mat) == _det_laplace(mat)
+    # a zero row, and a rank-one matrix whose entries do not vanish
+    x = sp.LaurentPoly2({(1, -1): 2, (0, 3): Fraction(-1, 3)})
+    assert sp.laurent_det([[x, x], [sp.LaurentPoly2(), sp.LaurentPoly2()]]).is_zero()
+    assert sp.laurent_det([[x, x], [x, x]]).is_zero()
+
+
+def test_laurent_json_rejects_bad_coefficients():
+    for coeff in ("1/0", "x", "1/2/3", 0.5, None):
+        with pytest.raises(ValueError, match="coefficient of z\\^1 w\\^-2"):
+            sp.LaurentPoly2.from_json({"terms": [{"z": 1, "w": -2, "coeff": coeff}]})
+
+
 def test_newton_polygon_of_characteristic_polynomial():
     rng = random.Random(17)
-    for name in ("honeycomb", "square_lattice", "square_lattice_2"):
+    names = ("honeycomb", "square_lattice", "square_lattice_2", "square_lattice_4", "honeycomb_6")
+    for name in names:
         entry = tg.catalog(name)
         for weights in (tg.all_ones_weights(entry.graph), tg.random_weights(entry.graph, rng)):
             p = sp.kasteleyn_polynomial(entry.graph, weights)

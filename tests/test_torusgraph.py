@@ -281,3 +281,16 @@ def test_honeycomb_2_is_doubled_triangle():
     assert poly.genus(p) == 0
     ok, _ = tg.check_minimality(g)
     assert ok
+
+
+def test_parse_weights():
+    assert tg.parse_weights({"a": "3/-6", "b": 4, "c": "-7"}) == {
+        "a": Fraction(-1, 2),
+        "b": Fraction(4),
+        "c": Fraction(-7),
+    }
+    for bad in ("1/0", "0/0", "x", "1/2/3", "", 0.5, True, None):
+        with pytest.raises(ValueError, match="edge e7"):
+            tg.parse_weights({"e0": "1", "e7": bad})
+    with pytest.raises(ValueError):
+        tg.parse_weights(["1"])
