@@ -22,7 +22,7 @@ from . import intlin
 from .polygon import (
     ConvexIntegralPolygon,
     NoInteriorPoint,
-    interior_lattice_points,
+    genus,
     polygon_from_edge_vectors,
 )
 
@@ -45,8 +45,8 @@ class EmbeddingJ:
 
 def build_j(p):
     rows = tuple((pair(e, (1, 0)), pair(e, (0, 1))) for e in p.edges())
-    b = [list(r) for r in rows]
-    assert all(sum(col) == 0 for col in zip(*b)), "image must lie in the sum-zero lattice"
+    if any(sum(col) != 0 for col in zip(*rows)):
+        raise AssertionError("image must lie in the sum-zero lattice")
     return EmbeddingJ(polygon=p, matrix=rows)
 
 
@@ -75,6 +75,12 @@ def sum_zero_coordinates(vec):
     return out
 
 
+def _sum_zero_cokernel(cols, n):
+    """Z^{n-1} / span(cols) for sum-zero columns in Z^n, in the basis e_i - e_{i+1}."""
+    reduced = [sum_zero_coordinates(c) for c in cols]
+    return intlin.cokernel([list(r) for r in zip(*reduced)], rows=n - 1)
+
+
 @dataclass(frozen=True)
 class ClusterModularGroupResult:
     group: intlin.FgAbelianGroup
@@ -99,20 +105,12 @@ def _divisibility_sublattice_columns(mults):
 
 def cluster_modular_group(p):
     """The group G_N of the polygon, split by the interior-point case."""
-    g, _ = interior_lattice_points(p)
-    b = _matrix(build_j(p))
+    g = genus(p)
     n = len(p.vertices)
     if g >= 1:
-        cols = [[row[j] for row in b] for j in range(2)]
-        reduced = [sum_zero_coordinates(c) for c in cols]
-        b0 = [[reduced[j][i] for j in range(2)] for i in range(n - 1)]
-        group = intlin.cokernel(b0)
+        group = _sum_zero_cokernel(list(zip(*build_j(p).matrix)), n)
         return ClusterModularGroupResult(group=group, genus=g, case_tag="interior_point")
-    mults = [d.multiplicity for d in p.edge_data()]
-    cols = _divisibility_sublattice_columns(mults)
-    reduced = [sum_zero_coordinates(c) for c in cols]
-    b0 = [[reduced[j][i] for j in range(len(cols))] for i in range(n - 1)]
-    group = intlin.cokernel(b0, rows=n - 1)
+    group = _sum_zero_cokernel(_divisibility_sublattice_columns(p.multiplicities()), n)
     return ClusterModularGroupResult(group=group, genus=g, case_tag="no_interior_point")
 
 
@@ -126,20 +124,12 @@ class TorsionLattice:
 
     basis: tuple
 
-    def denominators(self):
-        out = []
-        for v in self.basis:
-            d = 1
-            for c in v:
-                d = d * c.denominator // gcd(d, c.denominator)
-            out.append(d)
-        return out
-
     def index_over_standard(self):
         """Index [L : H_1(T, Z)], a positive integer."""
         d = self.basis[0][0] * self.basis[1][1] - self.basis[0][1] * self.basis[1][0]
         inv = 1 / abs(d)
-        assert inv.denominator == 1
+        if inv.denominator != 1:
+            raise AssertionError("[L : H_1(T, Z)] = %s is not an integer" % inv)
         return int(inv)
 
     def contains(self, v):
@@ -197,18 +187,19 @@ def torsion_lattice(p):
     L hat is the saturation of the image of j inside Z^{E_N}; L is its
     rational preimage under j, returned in the canonical basis.
     """
-    g, _ = interior_lattice_points(p)
-    if g < 1:
+    if genus(p) < 1:
         raise NoInteriorPoint("torsion lattice needs an interior lattice point")
     b = _matrix(build_j(p))
     sat = intlin.saturation_basis(b)
     gens = []
     for col in sat:
         x = intlin.solve_rational(b, col)
-        assert x is not None, "saturation vector not in the rational image of j"
+        if x is None:
+            raise AssertionError("saturation vector not in the rational image of j")
         gens.append(tuple(x))
     lat = TorsionLattice(basis=_canonical_lattice_basis(gens))
-    assert lat.contains((1, 0)) and lat.contains((0, 1))
+    if not (lat.contains((1, 0)) and lat.contains((0, 1))):
+        raise AssertionError("torsion lattice does not contain H_1(T, Z)")
     return lat
 
 
@@ -238,11 +229,13 @@ def max_translation_polygon(p, basis=None):
     imgs = []
     for vec in basis:
         img = [sum(Fraction(row[j]) * vec[j] for j in range(2)) for row in b]
-        assert all(c.denominator == 1 for c in img), "j(basis) must be integral"
+        if any(c.denominator != 1 for c in img):
+            raise AssertionError("j(basis) must be integral")
         imgs.append([int(c) for c in img])
     j1, j2 = imgs
     w_rows = tuple((j2[r], -j1[r]) for r in range(len(b)))
-    assert sum(w[0] for w in w_rows) == 0 and sum(w[1] for w in w_rows) == 0
+    if any(sum(col) != 0 for col in zip(*w_rows)):
+        raise AssertionError("w rows must sum to zero")
     poly = polygon_from_edge_vectors(w_rows)
     return MaxTranslationPolygon(polygon=poly, w_rows=w_rows, basis=tuple(basis))
 
@@ -267,20 +260,18 @@ def pic0_stack_presentation(p):
     asserted to agree with cluster_modular_group; the agreement is the whole
     content of the stacky Picard description of this group.
     """
-    g, _ = interior_lattice_points(p)
-    if g < 1:
+    if genus(p) < 1:
         raise NoInteriorPoint("stack presentation follows the interior-point case")
     data = p.edge_data()
     rows = []
     for d in data:
         scaled = (d.multiplicity * d.inward_normal[0], d.multiplicity * d.inward_normal[1])
         rows.append([pair(scaled, (1, 0)), pair(scaled, (0, 1))])
-    n = len(rows)
-    cols = [[rows[i][j] for i in range(n)] for j in range(2)]
-    reduced = [sum_zero_coordinates(c) for c in cols]
-    b0 = [[reduced[j][i] for j in range(2)] for i in range(n - 1)]
-    group = intlin.cokernel(b0)
+    group = _sum_zero_cokernel(list(zip(*rows)), len(rows))
     ref = cluster_modular_group(p)
-    assert group == ref.group, "stack presentation disagrees with the cluster group"
+    if group != ref.group:
+        raise AssertionError(
+            "stack presentation %s disagrees with the cluster group %s" % (group, ref.group)
+        )
     gens = tuple("L_%d" % d.index for d in data)
     return Pic0Presentation(group=group, generators=gens)

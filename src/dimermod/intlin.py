@@ -21,10 +21,6 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(rows, cols):
-    return [[0] * cols for _ in range(rows)]
-
-
 def mat_copy(a):
     return [row[:] for row in a]
 
@@ -55,10 +51,6 @@ def mat_vec(a, x):
     if a and len(a[0]) != len(x):
         raise DimensionMismatch("matrix/vector sizes differ")
     return [sum(c * v for c, v in zip(row, x)) for row in a]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,14 @@ def spider_move(g, weights, face_id, tag="sp"):
     return MoveOutcome(graph=out, weights=new_weights, removed_darts=removed, avoid_darts=set())
 
 
+def _rotation(g, v, move):
+    """The rotation at v; MoveNotApplicable names v when g has no such vertex."""
+    rot = g.rotations.get(v) if isinstance(v, str) else None
+    if rot is None:
+        raise MoveNotApplicable("no vertex %s to %s" % (v, move))
+    return rot
+
+
 def contract_vertex(g, weights, v, tag="ct"):
     """Shrink a 2-valent vertex, fusing its two neighbors.
 
@@ -144,7 +152,7 @@ def contract_vertex(g, weights, v, tag="ct"):
     weight, which keeps every face variable and both torus monodromies
     unchanged (it is the matching-weight pushforward).
     """
-    rot = g.rotations[v]
+    rot = _rotation(g, v, "contract")
     if len(rot) != 2:
         raise NotTwoValent("%s has degree %d" % (v, len(rot)))
     f1, f2 = rot
@@ -211,7 +219,7 @@ def contract_black(g, weights, v, tag="ct"):
 def expand_vertex(g, weights, v, first, second, tag="ex"):
     """Inverse of contract: split v in two along contiguous rotation arcs,
     joined through a fresh 2-valent vertex of the opposite color."""
-    rot = list(g.rotations[v])
+    rot = list(_rotation(g, v, "expand"))
     if sorted(first + second) != sorted(rot):
         raise MoveNotApplicable("split arcs must partition the rotation at %s" % v)
     joined = list(first) + list(second)

@@ -149,6 +149,15 @@ class ConvexIntegralPolygon:
         return {"vertices": [list(v) for v in self.vertices]}
 
 
+def is_int_pair(v):
+    """True iff v is a list or tuple of two ints (bools excluded)."""
+    return (
+        isinstance(v, (list, tuple))
+        and len(v) == 2
+        and all(isinstance(c, int) and not isinstance(c, bool) for c in v)
+    )
+
+
 def validate_polygon(vertices):
     """Check convexity and normalize the start vertex to the lex-smallest.
 
@@ -160,11 +169,7 @@ def validate_polygon(vertices):
         raise PolygonError("vertices must be a list of integer pairs")
     vs = []
     for i, v in enumerate(vertices):
-        if not (
-            isinstance(v, (list, tuple))
-            and len(v) == 2
-            and all(isinstance(c, int) and not isinstance(c, bool) for c in v)
-        ):
+        if not is_int_pair(v):
             raise PolygonError("vertex %d %r is not a pair of integers" % (i, v))
         vs.append(tuple(v))
     if len(vs) < 3:
@@ -223,12 +228,12 @@ def polygon_from_edge_vectors(vectors):
     return poly.translate((-base[0], -base[1]))
 
 
-def edge_data(p):
-    return p.edge_data()
-
-
 def interior_lattice_points(p):
-    """(g, interior points); cross-checked against Pick's theorem."""
+    """(g, interior points) by scanning the bounding box; cross-checked against Pick.
+
+    Only for callers that need the points themselves; counts come from
+    `genus` and `lattice_point_count` in O(#vertices).
+    """
     pts = [q for q in p.lattice_points() if p.contains(q, strict=True)]
     boundary = len(p.boundary_lattice_points())
     # Pick: 2*Area = 2*I + B - 2, exactly.
@@ -238,7 +243,13 @@ def interior_lattice_points(p):
 
 
 def genus(p):
-    return interior_lattice_points(p)[0]
+    """Number of interior lattice points, by Pick's theorem: 2A = 2I + B - 2."""
+    return (p.area2() - sum(p.multiplicities()) + 2) // 2
+
+
+def lattice_point_count(p):
+    """Number of lattice points of the closed polygon, I + B, by Pick's theorem."""
+    return (p.area2() + sum(p.multiplicities()) + 2) // 2
 
 
 def apply_sl2(p, m):
@@ -251,8 +262,7 @@ def apply_sl2(p, m):
 
 def is_building_block(p):
     """True iff exactly one interior lattice point and at most five in total."""
-    g, _ = interior_lattice_points(p)
-    return g == 1 and len(p.lattice_points()) <= 5
+    return genus(p) == 1 and lattice_point_count(p) <= 5
 
 
 def translation_equal(p, q):
@@ -285,10 +295,7 @@ def _chord_pieces(p, a, b):
 
 
 def _admissible(piece, count):
-    return (
-        len(piece.lattice_points()) < count
-        and interior_lattice_points(piece)[0] >= 1
-    )
+    return lattice_point_count(piece) < count and genus(piece) >= 1
 
 
 def find_building_block(p):
@@ -303,12 +310,11 @@ def find_building_block(p):
     point count, so the loop terminates; candidates are scanned in
     lexicographic order, so the result is reproducible.
     """
-    g, _ = interior_lattice_points(p)
-    if g < 1:
+    if genus(p) < 1:
         raise NoInteriorPoint("polygon has no interior lattice point")
     q = p
     while not is_building_block(q):
-        count = len(q.lattice_points())
+        count = lattice_point_count(q)
         ring = q.boundary_lattice_points()
         chords = sorted(
             (min(a, b), max(a, b)) for i, a in enumerate(ring) for b in ring[i + 1 :]
@@ -321,7 +327,7 @@ def find_building_block(p):
                 continue
             found = [pc for pc in pieces if _admissible(pc, count)]
             if found:
-                found.sort(key=lambda c: (len(c.lattice_points()), c.vertices))
+                found.sort(key=lambda c: (lattice_point_count(c), c.vertices))
                 step = found[0]
                 break
         if step is None:

@@ -288,6 +288,9 @@ class TorusGraph:
 def validate_graph(data):
     """Build a TorusGraph from the JSON dict shape; all invariants checked."""
     vertices = {v["id"]: v["color"] for v in data["vertices"]}
+    for e in data["edges"]:
+        if not poly.is_int_pair(e["disp"]):
+            raise GraphError("edge %s: disp %r is not a pair of integers" % (e["id"], e["disp"]))
     edges = {e["id"]: (e["black"], e["white"], tuple(e["disp"])) for e in data["edges"]}
     rotations = {v: tuple(r) for v, r in data["rotations"].items()}
     return TorusGraph(vertices, edges, rotations)
@@ -298,10 +301,6 @@ def load_graph(handle_or_dict):
     if not isinstance(data, dict):
         data = json.load(data)
     return validate_graph(data)
-
-
-def zig_zag_paths(g):
-    return list(g.zigzags())
 
 
 def newton_polygon(g):

@@ -136,10 +136,17 @@ def test_input_error_exit_code(tmp_path, capsys):
     ones = {e: ("-1" if e == "h0,0" else "1") for e in tg.catalog("square_lattice").graph.edges}
     sw = _write(tmp_path, "sw.json", ones)
     p = _write(tmp_path, "half.json", {"vertices": [[0, 0], [2.5, 0], [0, 2]]})
+    honeycomb = tg.catalog("honeycomb").graph.to_json()
+    honeycomb["edges"][1]["disp"] = [1.5, 0]
+    g = _write(tmp_path, "g.json", honeycomb)
+    nope = dict(square, moves=[{"contract": "nope"}] + square["moves"])
+    c = _write(tmp_path, "c.json", nope)
     for argv, named in (
         (["spectral", "poly", "--graph", "honeycomb", "--weights", w], "edge e0"),
         (["shuffle", "apply", "--script", s, "--weights", sw], "face %s" % spider),
         (["group", "compute", "--polygon", p], "vertex 1 [2.5, 0]"),
+        (["graph", "check", "--graph", g], "edge e1"),
+        (["shuffle", "apply", "--script", c], "vertex nope"),
     ):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err

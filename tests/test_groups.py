@@ -1,11 +1,15 @@
 """Group computations from the polygon: the worked example and the laws."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from dimermod import intlin, polygon as poly
+from dimermod import groups, intlin, polygon as poly
 from dimermod.groups import (
     ambient_quotient,
     build_j,
@@ -188,3 +192,47 @@ def test_pairing_orientation():
     # the fixed pairing, spelled out once: <a, b> = a.y b.x - a.x b.y
     assert pair((1, 0), (0, 1)) == -1
     assert pair((0, 1), (1, 0)) == 1
+
+
+def test_cluster_group_by_determinantal_divisors():
+    # G_N = Z^{n-1} / B0 with B0 the (n-1) x 2 partial-sum matrix of j; its
+    # invariant factors are d1 = gcd(entries) and d2 = gcd(2x2 minors) / d1
+    rng = random.Random(13)
+    for _ in range(40):
+        p = _random_g1(rng)
+        n = len(p)
+        j = build_j(p).matrix
+        x, y = ([sum(r[k] for r in j[: i + 1]) for i in range(n - 1)] for k in range(2))
+        d1 = gcd(*x, *y)
+        d2 = gcd(*(x[i] * y[k] - x[k] * y[i] for i in range(n - 1) for k in range(i))) // d1
+        want = intlin.FgAbelianGroup(rank=n - 3, torsion=tuple(d for d in (d1, d2) if d > 1))
+        assert cluster_modular_group(p).group == want
+
+
+def test_large_triangle_pinned():
+    # out of reach of a bounding-box scan: 4.5 million interior points
+    p = poly.validate_polygon([(0, 0), (3000, 0), (0, 3000)])
+    res = cluster_modular_group(p)
+    assert res.group == intlin.FgAbelianGroup(rank=0, torsion=(3000, 3000))
+    assert res.genus == poly.genus(p) == 4495501
+    assert poly.lattice_point_count(p) == 4504501
+    assert torsion_lattice(p).index_over_standard() == 9000000
+    assert pic0_stack_presentation(p).group == res.group
+
+
+def test_pic0_check_survives_optimize_flag():
+    # the agreement check is an explicit raise, so python -O keeps it
+    code = (
+        "from dimermod import groups, intlin, polygon as poly\n"
+        "groups.cluster_modular_group = lambda p: groups.ClusterModularGroupResult("
+        "group=intlin.FgAbelianGroup(rank=7, torsion=()), genus=1, case_tag='interior_point')\n"
+        "try:\n"
+        "    groups.pic0_stack_presentation(poly.validate_polygon([(1, 0), (0, 1), (-1, 0), (0, -1)]))\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(groups.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.startswith("raised: stack presentation")

@@ -86,6 +86,11 @@ def test_contract_requires_two_valent():
     g = _square()
     with pytest.raises(moves.NotTwoValent):
         moves.contract_vertex(g, tg.all_ones_weights(g), "w0,1")
+    for missing in ("nope", ["w0,1"]):
+        with pytest.raises(moves.MoveNotApplicable, match="no vertex"):
+            moves.contract_vertex(g, tg.all_ones_weights(g), missing)
+        with pytest.raises(moves.MoveNotApplicable, match="no vertex"):
+            moves.expand_vertex(g, tg.all_ones_weights(g), missing, [], [])
 
 
 def _weight_class_fingerprint(g, w):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dimermod import polygon as poly
 
@@ -142,6 +143,95 @@ def test_picks_theorem_random():
         g, _ = poly.interior_lattice_points(p)  # raises if Pick fails
         b = len(p.boundary_lattice_points())
         assert p.area2() == 2 * g + b - 2
+
+
+@st.composite
+def convex_polygons(draw, bound=40):
+    pts = draw(st.lists(st.tuples(st.integers(0, bound), st.integers(0, bound)), min_size=3, max_size=10))
+    hull = poly.convex_hull(pts)
+    assume(len(hull) >= 3)
+    return poly.validate_polygon(hull)
+
+
+@st.composite
+def thin_triangles(draw):
+    """Triangles along (a, b) of height at most a few lattice steps."""
+    a, b = draw(st.integers(1, 40)), draw(st.integers(-40, 40))
+    e, f = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    assume(a * f != b * e)
+    return poly.validate_polygon([(0, 0), (a, b), (2 * a + e, 2 * b + f)])
+
+
+@st.composite
+def sheared_polygons(draw):
+    p = draw(convex_polygons(bound=12))
+    k = draw(st.integers(-4, 4))
+    m = draw(st.sampled_from([[[1, k], [0, 1]], [[1, 0], [k, 1]], [[k, -1], [1, 0]]]))
+    return poly.apply_sl2(p, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(convex_polygons(), thin_triangles(), sheared_polygons()))
+def test_pick_counts_match_enumeration(p):
+    interior = [q for q in p.lattice_points() if p.contains(q, strict=True)]
+    assert poly.genus(p) == len(interior)
+    assert poly.lattice_point_count(p) == len(p.lattice_points())
+
+
+def _find_building_block_by_enumeration(p):
+    """The building-block search with every count taken by enumeration."""
+
+    def count(q):
+        return len(q.lattice_points())
+
+    def interior(q):
+        return poly.interior_lattice_points(q)[0]
+
+    def admissible(piece, n):
+        return count(piece) < n and interior(piece) >= 1
+
+    q = p
+    while not (interior(q) == 1 and count(q) <= 5):
+        n = count(q)
+        ring = q.boundary_lattice_points()
+        chords = sorted((min(a, b), max(a, b)) for i, a in enumerate(ring) for b in ring[i + 1 :])
+        step = None
+        for a, b in chords:
+            try:
+                pieces = poly._chord_pieces(q, a, b)
+            except poly.PolygonError:
+                continue
+            found = sorted((pc for pc in pieces if admissible(pc, n)), key=lambda c: (count(c), c.vertices))
+            if found:
+                step = found[0]
+                break
+        if step is None:
+            cuts = (
+                [a, b, y]
+                for y in poly.interior_lattice_points(q)[1]
+                for a, b in chords
+            )
+            for tri in cuts:
+                try:
+                    tri = poly.validate_polygon(tri)
+                except poly.PolygonError:
+                    continue
+                if admissible(tri, n):
+                    step = tri
+                    break
+        q = step
+    return q
+
+
+def test_find_building_block_matches_enumeration_counts():
+    rng = random.Random(5)
+    done = 0
+    while done < 40:
+        p = poly.random_convex_polygon(rng, bound=8)
+        if poly.genus(p) < 1:
+            continue
+        assert poly.find_building_block(p).vertices == _find_building_block_by_enumeration(p).vertices
+        done += 1
 
 
 def test_polygon_from_edge_vectors():

@@ -38,6 +38,14 @@ def test_corrupted_displacement_rejected():
         tg.validate_graph(data)
 
 
+def test_non_integer_displacement_rejected():
+    for bad in ([1.5, 0], [1.0, 0], [True, 0], [1], [1, 0, 0], "10", None):
+        data = tg.catalog("honeycomb").graph.to_json()
+        data["edges"][1]["disp"] = bad
+        with pytest.raises(tg.GraphError, match="edge e1"):
+            tg.validate_graph(data)
+
+
 def test_not_bipartite_rejected():
     data = tg.catalog("honeycomb").graph.to_json()
     data["vertices"][0]["color"] = "w"
