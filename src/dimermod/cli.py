@@ -8,6 +8,7 @@ only attached under --timing so that byte-identical reruns stay the default.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -54,6 +55,9 @@ def _load_weights(path, graph):
     missing = sorted(set(graph.edges) - set(w))
     if missing:
         raise InputError("weights missing for edges %s" % ", ".join(missing))
+    unknown = sorted(set(w) - set(graph.edges))
+    if unknown:
+        raise InputError("weights for edges not in the graph: %s" % ", ".join(unknown))
     return w
 
 
@@ -227,15 +231,12 @@ def cmd_verify_all(args):
     return 0 if not report["failed_assertions"] else 1
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process: building it costs more than most commands."""
     ap = argparse.ArgumentParser(
         prog="dimermod",
         description="cluster modular groups of dimer integrable systems",
-    )
-    ap.add_argument(
-        "--json",
-        action="store_true",
-        help="emit JSON (the only output format; accepted for compatibility)",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -21,6 +21,7 @@ from .torusgraph import (
     BLACK,
     WHITE,
     TorusGraph,
+    is_id_list,
     newton_polygon,
     resolve_graph,
 )
@@ -319,11 +320,8 @@ class TranslationProfile:
     reduced: tuple
 
     def to_json(self):
-        def frac(x):
-            return str(x) if isinstance(x, Fraction) else x
-
         return {
-            "per_strand": {k: frac(v) for k, v in sorted(self.per_strand.items())},
+            "per_strand": {k: str(v) for k, v in sorted(self.per_strand.items())},
             "per_edge": {str(k): v for k, v in sorted(self.per_edge.items())},
             "reduced": list(self.reduced),
         }
@@ -348,12 +346,44 @@ class MoveScript:
 
     @classmethod
     def from_json(cls, data):
+        """A script from its JSON object; MoveError names the key or move at fault."""
         if not isinstance(data, dict):
             data = json.load(data)
+        _check_script_shape(data)
         return cls(graph=data["graph"], moves=data["moves"], closing=data["closing"])
 
-    def to_json(self):
-        return {"graph": self.graph, "moves": self.moves, "closing": self.closing}
+
+def _check_script_shape(data):
+    if not isinstance(data, dict):
+        raise MoveError("a script must be a JSON object")
+    for key, kind, name in (
+        ("graph", str, "a string"),
+        ("moves", list, "a list"),
+        ("closing", dict, "an object"),
+    ):
+        if not isinstance(data.get(key), kind):
+            raise MoveError("script key %r must be %s" % (key, name))
+    for i, move in enumerate(data["moves"]):
+        kind = next(iter(move)) if isinstance(move, dict) and len(move) == 1 else None
+        if kind not in ("spider", "contract", "expand"):
+            raise MoveError("move %d: %r is not one of spider, contract or expand" % (i, move))
+        arg = move[kind]
+        if kind != "expand" and not isinstance(arg, str):
+            raise MoveError("move %d: %s needs a string id, not %r" % (i, kind, arg))
+        if kind == "expand" and not (
+            isinstance(arg, dict)
+            and isinstance(arg.get("vertex"), str)
+            and is_id_list(arg.get("first"))
+            and is_id_list(arg.get("second"))
+        ):
+            raise MoveError("move %d: expand needs a string vertex and id lists first, second" % i)
+    closing = data["closing"]
+    for key in ("vertex_map", "edge_map"):
+        m = closing.get(key)
+        if not (isinstance(m, dict) and is_id_list(list(m) + list(m.values()))):
+            raise MoveError("closing key %r must map ids to ids" % key)
+    if not poly.is_int_pair(closing.get("translation", [0, 0])):
+        raise MoveError("closing key 'translation' is not a pair of integers")
 
 
 def _advance_anchor(g, path, anchor, bad_darts, avoid_darts):
@@ -408,30 +438,25 @@ def _check_closing(g_final, g_base, closing):
             all(rot[(i + t) % n] == target[t] for t in range(n)) for i in range(n)
         ):
             raise ClosingIsomorphismInvalid("rotation mismatch at %s" % v)
-    # displacement compatibility: solve for the per-vertex deck correction
-    start = min(g_final.vertices)
-    kappa = {start: tau}
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        for e in g_final.rotations[v]:
-            b, w, d = g_final.edges[e]
-            _, _, dd = g_base.edges[emap[e]]
-            other = w if v == b else b
-            # lifted edge (w, c) -> (b, c+d) maps to (W, c+k(w)) -> (B, c+k(w)+dd),
-            # so k(b) - k(w) = dd - d.
-            if v == b:
-                want = poly.vsub(poly.vadd(kappa[v], d), dd)
-            else:
-                want = poly.vadd(poly.vsub(kappa[v], d), dd)
-            if other in kappa:
-                if kappa[other] != want:
-                    raise ClosingIsomorphismInvalid(
-                        "displacements are incompatible along edge %s" % e
-                    )
-            else:
-                kappa[other] = want
-                queue.append(other)
+    # displacement compatibility: solve for the per-vertex deck correction.
+    # The lifted edge (w, c) -> (b, c+d) maps to (W, c+k(w)) -> (B, c+k(w)+dd),
+    # so k(b) - k(w) = dd - d: fixed along the tree, checked on the rest.
+    root = min(g_final.vertices)
+    _, steps, nontree = g_final.spanning_tree(root)
+    kappa = {root: tau}
+
+    def jump(e):
+        return poly.vsub(g_base.disp(emap[e]), g_final.disp(e))
+
+    for v, e, child in steps:
+        if v == g_final.black(e):
+            kappa[child] = poly.vsub(kappa[v], jump(e))
+        else:
+            kappa[child] = poly.vadd(kappa[v], jump(e))
+    for e in nontree:
+        b, w, _ = g_final.edges[e]
+        if poly.vsub(kappa[b], kappa[w]) != jump(e):
+            raise ClosingIsomorphismInvalid("displacements are incompatible along edge %s" % e)
     return vmap, emap, kappa
 
 
@@ -614,10 +639,7 @@ def abel_shift(result, base_vertex=None):
 
 
 def load_script(handle_or_dict):
-    data = handle_or_dict
-    if not isinstance(data, dict):
-        data = json.load(data)
-    return MoveScript.from_json(data)
+    return MoveScript.from_json(handle_or_dict)
 
 
 # -- brute-force closing helper ------------------------------------------------

@@ -386,6 +386,6 @@ def load_polygon(handle_or_dict):
     data = handle_or_dict
     if not isinstance(data, dict):
         data = json.load(data)
-    if not isinstance(data, dict):
+    if not isinstance(data, dict) or "vertices" not in data:
         raise PolygonError('a polygon is a JSON object {"vertices": [[x, y], ...]}')
     return validate_polygon(data["vertices"])

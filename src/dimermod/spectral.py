@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import intlin, polygon as poly
-from .torusgraph import GraphError, UnbalancedColors, WHITE, _parse_rational, format_rational
+from .torusgraph import GraphError, UnbalancedColors, WHITE, _parse_rational
 
 
 class ZeroPolynomial(ValueError):
@@ -118,7 +118,7 @@ class LaurentPoly2:
     def to_json(self):
         return {
             "terms": [
-                {"z": i, "w": j, "coeff": format_rational(c)}
+                {"z": i, "w": j, "coeff": str(c)}
                 for (i, j), c in sorted(self.terms.items())
             ]
         }
@@ -381,7 +381,7 @@ def _perm_sign(perm):
 class AbelMap:
     """Vertex-indexed divisors at infinity, with the lattice equivariance rule.
 
-    `base_positions[v]` is the BFS lift at which `values[v]` holds;
+    `base_positions[v]` is the spanning-tree lift at which `values[v]` holds;
     `shift_x`/`shift_y` extend to all lifts:
     value(v, c) = values[v] + (c - base) paired into the shifts.
     """
@@ -425,44 +425,22 @@ def _edge_nu(g, e):
 def discrete_abel_map(g, base_vertex=None):
     """Propagate d(w) = d(b) - nu(alpha) - nu(beta) from the base white vertex.
 
-    BFS over a spanning tree fixes one lift per vertex; the remaining edges
-    determine the equivariance shifts and must satisfy them exactly,
-    otherwise the graph data is corrupt and InconsistentAbelMap is raised.
+    A spanning tree rooted at the base vertex fixes one lift per vertex; the
+    remaining edges determine the equivariance shifts and must satisfy them
+    exactly, otherwise the graph data is corrupt and InconsistentAbelMap is
+    raised.
     """
     if base_vertex is None:
         base_vertex = min(v for v, c in g.vertices.items() if c == WHITE)
     zids = [z.id for z in g.zigzags()]
-    pos = {base_vertex: (0, 0)}
+    pos, steps, nontree = g.spanning_tree(base_vertex)
     val = {base_vertex: {z: 0 for z in zids}}
-    tree = []
-    nontree = []
-    queue = [base_vertex]
-    seen_edges = set()
-    while queue:
-        v = queue.pop(0)
-        for e in g.rotations[v]:
-            if e in seen_edges:
-                continue
-            seen_edges.add(e)
-            b, w, d = g.edges[e]
-            other = w if v == b else b
-            if other in pos:
-                nontree.append(e)
-                continue
-            tree.append(e)
-            nu = _edge_nu(g, e)
-            if v == w:
-                pos[other] = poly.vadd(pos[v], d)
-                nxt = dict(val[v])
-                for z in nu:
-                    nxt[z] += 1
-            else:
-                pos[other] = poly.vsub(pos[v], d)
-                nxt = dict(val[v])
-                for z in nu:
-                    nxt[z] -= 1
-            val[other] = nxt
-            queue.append(other)
+    for v, e, child in steps:
+        sign = 1 if v == g.white(e) else -1
+        nxt = dict(val[v])
+        for z in _edge_nu(g, e):
+            nxt[z] += sign
+        val[child] = nxt
 
     # Each non-tree edge sees the black lift at pos(w) + disp; the defect
     # against the tree lift of the black end pins the equivariance shift.
@@ -489,11 +467,10 @@ def discrete_abel_map(g, base_vertex=None):
 
 
 def _solve_shifts(zids, equations):
-    pair_eqs = [(m, rhs) for m, rhs in equations]
     best = None
-    for i in range(len(pair_eqs)):
-        for j in range(i + 1, len(pair_eqs)):
-            (m1, _), (m2, _) = pair_eqs[i], pair_eqs[j]
+    for i in range(len(equations)):
+        for j in range(i + 1, len(equations)):
+            (m1, _), (m2, _) = equations[i], equations[j]
             det = m1[0] * m2[1] - m1[1] * m2[0]
             if det != 0:
                 best = (i, j, det)
@@ -503,7 +480,7 @@ def _solve_shifts(zids, equations):
     if best is None:
         raise InconsistentAbelMap("cycle classes do not span the torus")
     i, j, det = best
-    (m1, r1), (m2, r2) = pair_eqs[i], pair_eqs[j]
+    (m1, r1), (m2, r2) = equations[i], equations[j]
     sx, sy = {}, {}
     for z in zids:
         num_x = r1[z] * m2[1] - r2[z] * m1[1]
@@ -511,7 +488,7 @@ def _solve_shifts(zids, equations):
         if num_x % det or num_y % det:
             raise InconsistentAbelMap("equivariance shifts are not integral")
         sx[z], sy[z] = num_x // det, num_y // det
-    for m, rhs in pair_eqs:
+    for m, rhs in equations:
         for z in zids:
             if rhs[z] != m[0] * sx[z] + m[1] * sy[z]:
                 raise InconsistentAbelMap("Abel map is path dependent")

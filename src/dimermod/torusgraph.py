@@ -21,6 +21,7 @@ Conventions pinned here and relied on everywhere else:
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,9 +94,11 @@ class TorusGraph:
         self.rotations = {v: tuple(r) for v, r in rotations.items()}
         self._validate_incidence()
         self._check_connected()
-        self._faces, self._face_of_dart = self._trace_faces()
+        self._face_by_id, self._face_of_dart = self._trace_faces()
+        self._faces = tuple(self._face_by_id.values())
         self._check_topology()
-        self._zigzags, self._zz_of_dart = self._trace_zigzags()
+        self._zigzag_by_id, self._zz_of_dart = self._trace_zigzags()
+        self._zigzags = tuple(self._zigzag_by_id.values())
 
     # -- basic dart algebra -------------------------------------------------
 
@@ -168,21 +171,39 @@ class TorusGraph:
             if len(set(rot)) != len(rot):
                 raise InvalidRotation("rotation at %s repeats an edge" % v)
 
+    def spanning_tree(self, root):
+        """Breadth-first spanning tree from root: (pos, steps, nontree).
+
+        pos maps each reached vertex to a lift position, root at (0, 0), so
+        that pos[black] - pos[white] == disp on every tree edge.  steps lists
+        the tree edges as (parent, edge, child) in the order the walk finds
+        them; nontree lists every other edge in the order the walk first
+        meets it.
+        """
+        pos = {root: (0, 0)}
+        steps, nontree, met = [], [], set()
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for e in self.rotations[v]:
+                if e in met:
+                    continue
+                met.add(e)
+                b, w, d = self.edges[e]
+                other = w if v == b else b
+                if other in pos:
+                    nontree.append(e)
+                    continue
+                pos[other] = poly.vadd(pos[v], d) if v == w else poly.vsub(pos[v], d)
+                steps.append((v, e, other))
+                queue.append(other)
+        return pos, steps, nontree
+
     def _check_connected(self):
         if not self.vertices:
             raise Disconnected("empty graph")
-        seen = set()
-        start = min(self.vertices)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            for e in self.rotations[v]:
-                b, w, _ = self.edges[e]
-                stack.append(w if v == b else b)
-        if len(seen) != len(self.vertices):
+        pos, _, _ = self.spanning_tree(min(self.vertices))
+        if len(pos) != len(self.vertices):
             raise Disconnected("graph is not connected")
 
     def _orbits(self, step):
@@ -202,14 +223,14 @@ class TorusGraph:
         return orbits
 
     def _trace_faces(self):
-        faces = []
+        faces = {}
         face_of = {}
         for i, cycle in enumerate(self._orbits(self.next_face_dart)):
             f = Face(id="f%d" % i, darts=cycle)
-            faces.append(f)
+            faces[f.id] = f
             for d in cycle:
                 face_of[d] = f.id
-        return tuple(faces), face_of
+        return faces, face_of
 
     def _check_topology(self):
         v, e, f = len(self.vertices), len(self.edges), len(self._faces)
@@ -223,7 +244,7 @@ class TorusGraph:
                 raise NonContractibleFace("face %s has displacement %r" % (face.id, total))
 
     def _trace_zigzags(self):
-        paths = []
+        paths = {}
         zz_of = {}
         for i, cycle in enumerate(self._orbits(self.next_zigzag_dart)):
             pos = [(0, 0)]
@@ -231,10 +252,10 @@ class TorusGraph:
                 pos.append(poly.vadd(pos[-1], self.dart_disp(d)))
             h = poly.vadd(pos[-1], self.dart_disp(cycle[-1]))
             z = ZigZagPath(id="z%d" % i, darts=cycle, homology=h, positions=tuple(pos))
-            paths.append(z)
+            paths[z.id] = z
             for d in cycle:
                 zz_of[d] = z.id
-        return tuple(paths), zz_of
+        return paths, zz_of
 
     # -- cached views ----------------------------------------------------------
 
@@ -245,10 +266,9 @@ class TorusGraph:
         return self._face_of_dart[d]
 
     def face_by_id(self, fid):
-        for f in self._faces:
-            if f.id == fid:
-                return f
-        raise GraphError("no face %s" % fid)
+        if fid not in self._face_by_id:
+            raise GraphError("no face %s" % fid)
+        return self._face_by_id[fid]
 
     def zigzags(self):
         return self._zigzags
@@ -257,13 +277,9 @@ class TorusGraph:
         return self._zz_of_dart[d]
 
     def zigzag_by_id(self, zid):
-        for z in self._zigzags:
-            if z.id == zid:
-                return z
-        raise GraphError("no zig-zag path %s" % zid)
-
-    def paths_through_edge(self, e):
-        return (self._zz_of_dart[(e, 1)], self._zz_of_dart[(e, -1)])
+        if zid not in self._zigzag_by_id:
+            raise GraphError("no zig-zag path %s" % zid)
+        return self._zigzag_by_id[zid]
 
     # -- serialization ----------------------------------------------------------
 
@@ -285,22 +301,53 @@ class TorusGraph:
         }
 
 
+def is_id_list(x):
+    """True iff x is a list of strings, the JSON form of a list of vertex or edge ids."""
+    return isinstance(x, list) and all(isinstance(s, str) for s in x)
+
+
+def _record_id(kind, i, rec, seen):
+    """The string id of the i-th vertex or edge record; GraphError if it has none or repeats one."""
+    rid = rec.get("id") if isinstance(rec, dict) else None
+    if not isinstance(rid, str):
+        raise GraphError("%s record %d has no string id" % (kind, i))
+    if rid in seen:
+        raise GraphError("%s %s is listed twice" % (kind, rid))
+    return rid
+
+
 def validate_graph(data):
     """Build a TorusGraph from the JSON dict shape; all invariants checked."""
-    vertices = {v["id"]: v["color"] for v in data["vertices"]}
-    for e in data["edges"]:
-        if not poly.is_int_pair(e["disp"]):
-            raise GraphError("edge %s: disp %r is not a pair of integers" % (e["id"], e["disp"]))
-    edges = {e["id"]: (e["black"], e["white"], tuple(e["disp"])) for e in data["edges"]}
+    if not isinstance(data, dict):
+        raise GraphError("a graph must be a JSON object")
+    for key, kind, name in (
+        ("vertices", list, "a list"),
+        ("edges", list, "a list"),
+        ("rotations", dict, "an object"),
+    ):
+        if not isinstance(data.get(key), kind):
+            raise GraphError("graph key %r must be %s" % (key, name))
+    vertices = {}
+    for i, v in enumerate(data["vertices"]):
+        vid = _record_id("vertex", i, v, vertices)
+        if v.get("color") not in (BLACK, WHITE):
+            raise GraphError("vertex %s: color %r is not 'b' or 'w'" % (vid, v.get("color")))
+        vertices[vid] = v["color"]
+    edges = {}
+    for i, e in enumerate(data["edges"]):
+        eid = _record_id("edge", i, e, edges)
+        if not (isinstance(e.get("black"), str) and isinstance(e.get("white"), str)):
+            raise GraphError("edge %s: black and white must be vertex ids" % eid)
+        if not poly.is_int_pair(e.get("disp")):
+            raise GraphError("edge %s: disp %r is not a pair of integers" % (eid, e.get("disp")))
+        edges[eid] = (e["black"], e["white"], tuple(e["disp"]))
+    for v, r in data["rotations"].items():
+        if v not in vertices:
+            raise GraphError("rotation at %s: no such vertex" % v)
+        if not is_id_list(r):
+            raise GraphError("rotation at %s: %r is not a list of edge ids" % (v, r))
     rotations = {v: tuple(r) for v, r in data["rotations"].items()}
     return TorusGraph(vertices, edges, rotations)
-
-
-def load_graph(handle_or_dict):
-    data = handle_or_dict
-    if not isinstance(data, dict):
-        data = json.load(data)
-    return validate_graph(data)
 
 
 def newton_polygon(g):
@@ -437,45 +484,26 @@ def face_variable(g, weights, face):
 
 
 def _weight_potentials(g, weights):
-    """BFS-tree lift positions and alternating-product potentials."""
-    start = min(g.vertices)
-    pos = {start: (0, 0)}
-    phi = {start: Fraction(1)}
-    order = [start]
-    tree = set()
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        for e in g.rotations[v]:
-            b, w, d = g.edges[e]
-            other = w if v == b else b
-            if other in pos:
-                continue
-            tree.add(e)
-            if v == w:  # white -> black
-                pos[other] = poly.vadd(pos[v], d)
-                phi[other] = phi[v] * weights[e]
-            else:
-                pos[other] = poly.vsub(pos[v], d)
-                phi[other] = phi[v] / weights[e]
-            order.append(other)
-            queue.append(other)
-    return pos, phi, tree
+    """Spanning-tree lift positions, alternating-product potentials, non-tree edges."""
+    root = min(g.vertices)
+    pos, steps, nontree = g.spanning_tree(root)
+    phi = {root: Fraction(1)}
+    for v, e, child in steps:
+        phi[child] = phi[v] * weights[e] if v == g.white(e) else phi[v] / weights[e]
+    return pos, phi, nontree
 
 
 def torus_monodromies(g, weights):
     """Monodromies along fixed cycles of class (1,0) and (0,1).
 
-    The cycles are combinations of BFS-tree fundamental cycles; the integer
+    The cycles are combinations of spanning-tree fundamental cycles; the integer
     combination is produced by the Smith solver, so it is deterministic for a
     given graph.
     """
-    pos, phi, tree = _weight_potentials(g, weights)
+    pos, phi, nontree = _weight_potentials(g, weights)
     hols = []
     classes = []
-    for e in sorted(g.edges):
-        if e in tree:
-            continue
+    for e in sorted(nontree):
         b, w, d = g.edges[e]
         cls = poly.vsub(poly.vadd(pos[w], d), pos[b])
         classes.append(cls)
@@ -566,12 +594,8 @@ def _parse_rational(s, what):
     return Fraction(*nums)
 
 
-def format_rational(x):
-    return "%d/%d" % (x.numerator, x.denominator) if x.denominator != 1 else str(x.numerator)
-
-
 def weights_to_json(weights):
-    return {e: format_rational(w) for e, w in sorted(weights.items())}
+    return {e: str(w) for e, w in sorted(weights.items())}
 
 
 # -- catalog -----------------------------------------------------------------
@@ -705,4 +729,4 @@ def resolve_graph(name_or_path):
         return catalog(name_or_path).graph
     except UnknownCatalogEntry:
         with open(name_or_path) as fh:
-            return load_graph(fh)
+            return validate_graph(json.load(fh))

@@ -1,6 +1,14 @@
 """CLI surface: JSON formats, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimermod import cli, torusgraph as tg
 from dimermod.suites import bundled_script
@@ -141,16 +149,115 @@ def test_input_error_exit_code(tmp_path, capsys):
     g = _write(tmp_path, "g.json", honeycomb)
     nope = dict(square, moves=[{"contract": "nope"}] + square["moves"])
     c = _write(tmp_path, "c.json", nope)
+    half_expand = dict(square, moves=[{"expand": {"vertex": "b0,0"}}] + square["moves"])
+    x = _write(tmp_path, "x.json", half_expand)
+    m = _write(tmp_path, "m.json", dict(square, moves=3))
+    t = _write(tmp_path, "t.json", dict(square, closing=dict(square["closing"], translation="ab")))
+    pair = _write(tmp_path, "pair.json", [1, 2])
+    rotation = tg.catalog("honeycomb").graph.to_json()
+    rotation["rotations"]["b0"] = 5
+    r = _write(tmp_path, "r.json", rotation)
+    black = tg.catalog("honeycomb").graph.to_json()
+    black["edges"][1]["black"] = ["b0"]
+    b = _write(tmp_path, "b.json", black)
+    stray = tg.catalog("honeycomb").graph.to_json()
+    stray["rotations"]["zz"] = []
+    z = _write(tmp_path, "z.json", stray)
+    extra = _write(tmp_path, "extra.json", {"e0": "1", "e1": "1", "e2": "1", "e9": "5"})
+    keyless = _write(tmp_path, "keyless.json", {"vertexes": [[0, 0], [1, 0], [0, 1]]})
     for argv, named in (
         (["spectral", "poly", "--graph", "honeycomb", "--weights", w], "edge e0"),
         (["shuffle", "apply", "--script", s, "--weights", sw], "face %s" % spider),
         (["group", "compute", "--polygon", p], "vertex 1 [2.5, 0]"),
         (["graph", "check", "--graph", g], "edge e1"),
         (["shuffle", "apply", "--script", c], "vertex nope"),
+        (["shuffle", "apply", "--script", x], "move 0"),
+        (["shuffle", "apply", "--script", m], "'moves'"),
+        (["shuffle", "apply", "--script", t], "'translation'"),
+        (["graph", "check", "--graph", pair], "graph must be a JSON object"),
+        (["graph", "check", "--graph", r], "rotation at b0"),
+        (["graph", "check", "--graph", b], "edge e1"),
+        (["graph", "check", "--graph", z], "rotation at zz"),
+        (["spectral", "poly", "--graph", "honeycomb", "--weights", extra], "graph: e9"),
+        (["group", "compute", "--polygon", keyless], '{"vertices"'),
     ):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+
+def test_json_flag_is_gone(tmp_path, capsys):
+    p = _write(tmp_path, "d.json", DIAMOND)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--json", "polygon", "info", "--polygon", p])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+# Each loader's fuzz seed document and the command that reads it from a file.
+LOADERS = {
+    "polygon": (DIAMOND, ["group", "compute", "--polygon"]),
+    "graph": (tg.catalog("honeycomb").graph.to_json(), ["graph", "check", "--graph"]),
+    "script": (bundled_script("domino_shuffle"), ["shuffle", "apply", "--script"]),
+    "weights": (
+        {e: "1" for e in tg.catalog("honeycomb").graph.edges},
+        ["spectral", "poly", "--graph", "honeycomb", "--weights"],
+    ),
+}
+DELETE = object()
+REPLACEMENTS = (None, 3, 1.5, True, "x", [], {}, [1, 2], DELETE)
+
+
+def _paths(doc, path=()):
+    """The path of every node of a JSON document, the root included."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else []
+    for k, v in items:
+        yield from _paths(v, path + (k,))
+
+
+def _mutated(doc, path, new):
+    """A copy of doc with the node at path replaced by new, or deleted if new is DELETE."""
+    if not path:
+        return {} if new is DELETE else new
+    out = copy.deepcopy(doc)
+    parent = out
+    for k in path[:-1]:
+        parent = parent[k]
+    if new is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return out
+
+
+@st.composite
+def mutated_inputs(draw):
+    name = draw(st.sampled_from(sorted(LOADERS)))
+    doc, argv = LOADERS[name]
+    path = draw(st.sampled_from(list(_paths(doc))))
+    new = draw(st.sampled_from(REPLACEMENTS))
+    return argv, _mutated(doc, path, new)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_inputs())
+def test_loaders_fuzz_exit_code(case):
+    """One replaced or deleted JSON node: exit 0 or 2, never a crash or a traceback."""
+    argv, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + [path])
+    assert code in (0, 2), (argv, doc)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == bool(err.getvalue())
 
 
 def test_verify_all_reports_corrupted_catalog(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
-from dimermod import moves, torusgraph as tg
+import pytest
+
+from dimermod import moves, polygon as poly, torusgraph as tg
 from dimermod.suites import spider_cross_checks
 
 
@@ -42,6 +44,37 @@ def _applicable_moves(g, rng):
     return out
 
 
+def _check_spanning_tree(g):
+    """The walk from min(vertices) spans g, and its lifts agree with every tree disp."""
+    root = min(g.vertices)
+    pos, steps, nontree = g.spanning_tree(root)
+    assert pos[root] == (0, 0) and set(pos) == set(g.vertices)
+    assert len(steps) == len(g.vertices) - 1
+    assert len(nontree) == len(g.edges) - len(g.vertices) + 1
+    assert sorted([e for _, e, _ in steps] + nontree) == sorted(g.edges)
+    reached = {root}
+    for parent, e, child in steps:
+        assert parent in reached and child not in reached
+        assert {parent, child} == {g.black(e), g.white(e)}
+        assert poly.vsub(pos[g.black(e)], pos[g.white(e)]) == g.disp(e)
+        reached.add(child)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "honeycomb",
+        "honeycomb_2",
+        "honeycomb_3",
+        "square_lattice",
+        "square_lattice_2",
+        "square_lattice_3",
+    ],
+)
+def test_spanning_tree_of_catalog_graphs(name):
+    _check_spanning_tree(tg.catalog(name).graph)
+
+
 def test_random_move_walks_keep_invariants():
     rng = random.Random(99)
     for start in ("square_lattice", "honeycomb"):
@@ -60,6 +93,7 @@ def test_random_move_walks_keep_invariants():
                 assert fails == [], (start, step, fails)
             out = moves._apply_move(g, w, move, tag="f%d" % step)
             g, w = out.graph, out.weights
+            _check_spanning_tree(g)
             # validated by construction; check the conserved quantities
             assert _class_multiset(g) == classes, (start, step, move)
             assert _product_of_faces(g, w) == 1
@@ -86,6 +120,7 @@ def test_random_walk_strand_tracking_stays_bijective():
                 g, current[zid], a, out.removed_darts, out.avoid_darts
             )
         g, w = out.graph, out.weights
+        _check_spanning_tree(g)
         seen = set()
         for zid, a in anchors.items():
             pid = g.zigzag_of_dart(a.dart)

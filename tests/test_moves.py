@@ -14,6 +14,15 @@ def _square():
     return tg.catalog("square_lattice").graph
 
 
+def test_unknown_face_and_zigzag_ids():
+    g = _square()
+    assert g.face_by_id("f2") is g.faces()[2] and g.zigzag_by_id("z1") is g.zigzags()[1]
+    with pytest.raises(tg.GraphError, match="no face f99"):
+        moves.spider_move(g, tg.all_ones_weights(g), "f99")
+    with pytest.raises(tg.GraphError, match="no zig-zag path z99"):
+        g.zigzag_by_id("z99")
+
+
 def test_spider_rejects_non_quad():
     g = tg.catalog("honeycomb").graph
     with pytest.raises(moves.NotQuadFace):
@@ -213,6 +222,29 @@ def test_closing_isomorphism_validation():
     }
     with pytest.raises(moves.ClosingIsomorphismInvalid):
         moves.run_sequence(moves.load_script(bad), tg.all_ones_weights(g))
+
+
+@pytest.mark.parametrize(
+    "name, edge",
+    [("square_lattice", "v0,1"), ("square_lattice_2", "v0,2"), ("honeycomb_3", "e2_0,1")],
+)
+def test_closing_rejects_sheared_displacements(name, edge):
+    """Identity maps onto the same graph with every disp sheared by (x, y) -> (x + y, y).
+
+    Colors, incidences and rotations agree, so only the deck corrections fail;
+    the error names the first non-tree edge, in walk order, that breaks them.
+    """
+    base = tg.catalog(name).graph
+    sheared = tg.TorusGraph(
+        base.vertices,
+        {e: (b, w, (d[0] + d[1], d[1])) for e, (b, w, d) in base.edges.items()},
+        base.rotations,
+    )
+    identity = {"vertex_map": {v: v for v in base.vertices}, "edge_map": {e: e for e in base.edges}}
+    for final, target in ((sheared, base), (base, sheared)):
+        with pytest.raises(moves.ClosingIsomorphismInvalid) as exc:
+            moves._check_closing(final, target, identity)
+        assert str(exc.value) == "displacements are incompatible along edge %s" % edge
 
 
 def test_domino_shuffle_profile():

@@ -46,6 +46,14 @@ def test_non_integer_displacement_rejected():
             tg.validate_graph(data)
 
 
+def test_duplicate_ids_rejected():
+    for key, named in (("vertices", "vertex b0"), ("edges", "edge e0")):
+        data = tg.catalog("honeycomb").graph.to_json()
+        data[key].append(dict(data[key][0]))
+        with pytest.raises(tg.GraphError, match="%s is listed twice" % named):
+            tg.validate_graph(data)
+
+
 def test_not_bipartite_rejected():
     data = tg.catalog("honeycomb").graph.to_json()
     data["vertices"][0]["color"] = "w"
