@@ -54,9 +54,6 @@ class LaurentPoly2:
     def __eq__(self, other):
         return isinstance(other, LaurentPoly2) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -68,14 +65,6 @@ class LaurentPoly2:
         p = LaurentPoly2()
         p.terms = out
         return p
-
-    def __neg__(self):
-        p = LaurentPoly2()
-        p.terms = {k: -c for k, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         out = {}
@@ -105,15 +94,6 @@ class LaurentPoly2:
 
     def support(self):
         return sorted(self.terms)
-
-    def newton_polygon(self):
-        if self.is_zero():
-            raise ZeroPolynomial("zero polynomial has no Newton polygon")
-        pts = list(self.terms)
-        hull = poly.convex_hull(pts)
-        if len(hull) < 3:
-            return None  # support is a point or a segment
-        return poly.validate_polygon(hull)
 
     def to_json(self):
         return {
@@ -446,8 +426,8 @@ def discrete_abel_map(g, base_vertex=None):
     # against the tree lift of the black end pins the equivariance shift.
     equations = []
     for e in nontree:
-        b, w, d = g.edges[e]
-        m = poly.vsub(poly.vadd(pos[w], d), pos[b])
+        b, w, _ = g.edges[e]
+        m = g.cycle_class(pos, e)
         nu = _edge_nu(g, e)
         rhs = {}
         for z in zids:

@@ -199,6 +199,11 @@ class TorusGraph:
                 queue.append(other)
         return pos, steps, nontree
 
+    def cycle_class(self, pos, e):
+        """Homology class of the cycle that closes edge e through the tree with lift positions pos."""
+        b, w, d = self.edges[e]
+        return poly.vsub(poly.vadd(pos[w], d), pos[b])
+
     def _check_connected(self):
         if not self.vertices:
             raise Disconnected("empty graph")
@@ -207,19 +212,19 @@ class TorusGraph:
             raise Disconnected("graph is not connected")
 
     def _orbits(self, step):
-        todo = set(self.darts())
+        """Orbits of step, each starting at its least dart and listed in order of that dart."""
+        seen = set()
         orbits = []
-        while todo:
-            d0 = min(todo)
+        for d0 in sorted(self.darts()):
+            if d0 in seen:
+                continue
             cycle = [d0]
-            todo.remove(d0)
             d = step(d0)
             while d != d0:
-                todo.remove(d)
                 cycle.append(d)
                 d = step(d)
+            seen.update(cycle)
             orbits.append(tuple(cycle))
-        orbits.sort(key=lambda c: c[0])
         return orbits
 
     def _trace_faces(self):
@@ -347,7 +352,14 @@ def validate_graph(data):
         if not is_id_list(r):
             raise GraphError("rotation at %s: %r is not a list of edge ids" % (v, r))
     rotations = {v: tuple(r) for v, r in data["rotations"].items()}
-    return TorusGraph(vertices, edges, rotations)
+    g = TorusGraph(vertices, edges, rotations)
+    pos, _, nontree = g.spanning_tree(min(g.vertices))
+    classes = [g.cycle_class(pos, e) for e in nontree]
+    index = intlin.cokernel([[c[0] for c in classes], [c[1] for c in classes]], rows=2).order()
+    if index != 1:
+        span = "infinite index" if index is None else "index %d" % index
+        raise GraphError("cycle classes span a sublattice of %s in H_1 of the torus" % span)
+    return g
 
 
 def newton_polygon(g):
@@ -368,23 +380,18 @@ def newton_polygon(g):
 # -- minimality ------------------------------------------------------------
 
 
-def _lifted_edge_anchor(g, d, pos):
-    """Identify the lifted edge under dart d at tail position pos.
-
-    The anchor is the lift position of the white endpoint, which is the same
-    for both traversal directions of the same lifted edge.
-    """
-    e, s = d
-    return (e, pos if s > 0 else poly.vadd(pos, g.dart_disp(d)))
-
-
 def check_minimality(g):
-    """(is_minimal, certificate). Lifts are scanned within a periodic window.
+    """(is_minimal, certificate), decided in one pass over the edges.
 
     Self-intersections: a zig-zag path that uses some edge twice per period
     lifts either to a self-crossing curve or to two parallel lifts sharing an
-    edge; both are violations.  Parallel bigons: two lifts sharing two
-    consecutive intersections traversed in the same order.
+    edge; both are violations.  Otherwise each edge is one crossing of two
+    paths A and B, at index i along A and j along B.  On the lift A0 of A
+    from (0, 0) it is a crossing with the translate B + m, where
+    m = q_a + s*h_a - q_b - t*h_b for lift shifts s, t (q: lift of the edge's
+    white end), at index i + s*|A| along A0 and j + t*|B| along B + m.  Pairs
+    of lifts up to deck translation are the classes of m modulo <h_a, h_b>,
+    and m is the canonical representative of its class.
     """
     zigzags = g.zigzags()
     for z in zigzags:
@@ -394,55 +401,58 @@ def check_minimality(g):
         seen = set()
         for d in z.darts:
             if d[0] in seen:
-                return False, {
-                    "kind": "self_intersection",
-                    "path": z.id,
-                    "edge": d[0],
-                }
+                return False, {"kind": "self_intersection", "path": z.id, "edge": d[0]}
             seen.add(d[0])
 
-    occs = {}
-    for z in zigzags:
-        occs[z.id] = [
-            (d[0], _lifted_edge_anchor(g, d, p)) for d, p in zip(z.darts, z.positions)
-        ]
-
-    for ai in range(len(zigzags)):
-        for bi in range(ai + 1, len(zigzags)):
-            za, zb = zigzags[ai], zigzags[bi]
-            pa, pb = len(za.darts), len(zb.darts)
-            window = pa + pb + 2
-            buckets = {}
-            for i, (ea, (_, qa)) in enumerate(occs[za.id]):
-                for j, (eb, (_, qb)) in enumerate(occs[zb.id]):
-                    if ea != eb:
-                        continue
-                    for s in range(-window, window + 1):
-                        for t in range(-window, window + 1):
-                            m = (
-                                qa[0] + s * za.homology[0] - qb[0] - t * zb.homology[0],
-                                qa[1] + s * za.homology[1] - qb[1] - t * zb.homology[1],
-                            )
-                            buckets.setdefault(m, []).append((i + s * pa, j + t * pb))
-            inner = min(pa, pb) * (window - 2)
-            for m, matches in buckets.items():
-                matches.sort()
-                for k in range(len(matches) - 1):
-                    (ta1, tb1), (ta2, tb2) = matches[k], matches[k + 1]
-                    if abs(ta1) > inner or abs(ta2) > inner:
-                        continue
-                    if ta1 == ta2:
-                        continue
-                    if tb2 <= tb1:
-                        continue
-                    if any(tb1 < tb < tb2 for _, tb in matches):
-                        continue
-                    return False, {
-                        "kind": "parallel_bigon",
-                        "paths": [za.id, zb.id],
-                        "offset": list(m),
-                    }
+    at = {}  # dart -> (path index, index along the path, lift of the edge's white end)
+    for k, z in enumerate(zigzags):
+        for i, (d, p) in enumerate(zip(z.darts, z.positions)):
+            at[d] = (k, i, p if d[1] > 0 else poly.vadd(p, g.dart_disp(d)))
+    classes = {}
+    for e in g.edges:
+        (a, i, qa), (b, j, qb) = sorted((at[(e, 1)], at[(e, -1)]))
+        za, zb = zigzags[a], zigzags[b]
+        lattice, c = _lift_lattice(za, zb), poly.vsub(qa, qb)
+        m = intlin.reduce_mod_image(c, lattice)
+        s, t = _integer_solution(lattice, list(poly.vsub(m, c)))
+        classes.setdefault((a, b, m), []).append((i + s * len(za.darts), j + t * len(zb.darts)))
+    for (a, b, m), crossings in sorted(classes.items()):
+        za, zb = zigzags[a], zigzags[b]
+        period = None
+        if poly.cross(za.homology, zb.homology) == 0:
+            # parallel paths: shifting A0 by s*h_a and B + m by t*h_b maps the pair of lifts to itself
+            (s, t), = intlin.kernel_basis(_lift_lattice(za, zb))
+            period = (abs(s) * len(za.darts), (t if s > 0 else -t) * len(zb.darts))
+        if _has_parallel_bigon(crossings, period):
+            return False, {"kind": "parallel_bigon", "paths": [za.id, zb.id], "offset": list(m)}
     return True, None
+
+
+def _lift_lattice(za, zb):
+    """The map (s, t) -> s*h_a - t*h_b, as the matrix with columns h_a and -h_b."""
+    return [[za.homology[0], -zb.homology[0]], [za.homology[1], -zb.homology[1]]]
+
+
+def _has_parallel_bigon(crossings, period):
+    """True iff two crossings are consecutive along A and along B, in the same order.
+
+    crossings lists (index along A, index along B) for one pair of lifts, one
+    per edge, so no two share an index.  Parallel lifts cross again after
+    every index shift `period`; then one period along A is tested cyclically,
+    and positions along B are compared modulo the B part of the shift.
+    """
+    if period:
+        pa, pb = period
+        crossings = [(ta % pa, tb - ta // pa * pb) for ta, tb in crossings]
+    crossings = sorted(crossings)
+    key = (lambda tb: tb % abs(pb)) if period else (lambda tb: tb)
+    bs = sorted(key(tb) for _, tb in crossings)
+    after = crossings[1:]
+    if period:
+        after.append((crossings[0][0] + pa, crossings[0][1] + pb))
+        bs.append(bs[0] + abs(pb))
+    step_b = {x: y - x for x, y in zip(bs, bs[1:])}  # distance to the next crossing along B
+    return any(tb2 - tb1 == step_b.get(key(tb1)) for (_, tb1), (_, tb2) in zip(crossings, after))
 
 
 # -- seed and face variables -------------------------------------------------
@@ -504,9 +514,8 @@ def torus_monodromies(g, weights):
     hols = []
     classes = []
     for e in sorted(nontree):
-        b, w, d = g.edges[e]
-        cls = poly.vsub(poly.vadd(pos[w], d), pos[b])
-        classes.append(cls)
+        b, w, _ = g.edges[e]
+        classes.append(g.cycle_class(pos, e))
         hols.append(phi[w] * weights[e] / phi[b])
     mat = [[c[0] for c in classes], [c[1] for c in classes]]
     out = []

@@ -165,6 +165,9 @@ def test_input_error_exit_code(tmp_path, capsys):
     z = _write(tmp_path, "z.json", stray)
     extra = _write(tmp_path, "extra.json", {"e0": "1", "e1": "1", "e2": "1", "e9": "5"})
     keyless = _write(tmp_path, "keyless.json", {"vertexes": [[0, 0], [1, 0], [0, 1]]})
+    index2 = tg.catalog("honeycomb").graph.to_json()
+    index2["edges"][1]["disp"] = [2, 0]
+    i2 = _write(tmp_path, "i2.json", index2)
     for argv, named in (
         (["spectral", "poly", "--graph", "honeycomb", "--weights", w], "edge e0"),
         (["shuffle", "apply", "--script", s, "--weights", sw], "face %s" % spider),
@@ -180,6 +183,8 @@ def test_input_error_exit_code(tmp_path, capsys):
         (["graph", "check", "--graph", z], "rotation at zz"),
         (["spectral", "poly", "--graph", "honeycomb", "--weights", extra], "graph: e9"),
         (["group", "compute", "--polygon", keyless], '{"vertices"'),
+        (["graph", "check", "--graph", i2], "sublattice of index 2"),
+        (["abel", "map", "--graph", i2], "sublattice of index 2"),
     ):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 
 from dimermod import moves, polygon as poly, torusgraph as tg
 from dimermod.suites import spider_cross_checks
+from test_torusgraph import check_minimality_against_window
 
 
 def _class_multiset(g):
@@ -94,6 +95,7 @@ def test_random_move_walks_keep_invariants():
             out = moves._apply_move(g, w, move, tag="f%d" % step)
             g, w = out.graph, out.weights
             _check_spanning_tree(g)
+            assert check_minimality_against_window(g) is None
             # validated by construction; check the conserved quantities
             assert _class_multiset(g) == classes, (start, step, move)
             assert _product_of_faces(g, w) == 1
@@ -121,6 +123,7 @@ def test_random_walk_strand_tracking_stays_bijective():
             )
         g, w = out.graph, out.weights
         _check_spanning_tree(g)
+        assert check_minimality_against_window(g) is None
         seen = set()
         for zid, a in anchors.items():
             pid = g.zigzag_of_dart(a.dart)

@@ -40,20 +40,33 @@ def test_honeycomb_trinomial():
     assert {abs(c) for c in p.terms.values()} == {2, 3, 5}
 
 
-def test_unbalanced_colors_rejected():
-    # a valid torus graph with one black and two white vertices
-    g = tg.TorusGraph(
+def _one_black_two_whites():
+    """A valid torus graph with one black and two white vertices, and one face."""
+    return tg.TorusGraph(
         {"b0": "b", "w0": "w", "w1": "w"},
         {
-            "a": ("b0", "w0", (0, 0)),
-            "b": ("b0", "w0", (1, 0)),
-            "c": ("b0", "w1", (0, 0)),
-            "d": ("b0", "w1", (0, 1)),
+            "e0": ("b0", "w0", (0, 0)),
+            "e1": ("b0", "w0", (1, 0)),
+            "e2": ("b0", "w1", (0, 0)),
+            "e3": ("b0", "w1", (0, 1)),
         },
-        {"b0": ("a", "c", "b", "d"), "w0": ("a", "b"), "w1": ("c", "d")},
+        {"b0": ("e0", "e2", "e1", "e3"), "w0": ("e0", "e1"), "w1": ("e2", "e3")},
     )
+
+
+def test_unbalanced_colors_rejected():
+    g = _one_black_two_whites()
     with pytest.raises(tg.UnbalancedColors):
         sp.kasteleyn_polynomial(g, tg.all_ones_weights(g))
+
+
+def test_no_valid_sign_assignment():
+    # the one face runs along each edge twice, so its sign product is +1 under
+    # every assignment, while the rule for 8 darts asks for (-1)^(4+1) = -1
+    g = _one_black_two_whites()
+    assert len(g.faces()) == 1 and len(g.vertices) % 2 == 1
+    with pytest.raises(sp.NoValidSignAssignment):
+        sp.kasteleyn_signs(g)
 
 
 def test_determinant_matches_matching_oracle():
@@ -86,7 +99,7 @@ def _det_laplace(mat):
                 continue
             rest = cols[:pos] + cols[pos + 1 :]
             term = entry * minor(rest)
-            acc = acc + term if pos % 2 == 0 else acc - term
+            acc = acc + (term if pos % 2 == 0 else term.scale(-1))
         cache[cols] = acc
         return acc
 

@@ -54,6 +54,20 @@ def test_duplicate_ids_rejected():
             tg.validate_graph(data)
 
 
+def test_cycle_classes_must_span_the_torus():
+    # one face and V - E + F = 0, so the constructor accepts both; the file loader does not
+    for disps, named in ((([2, 0], [0, 1]), "index 2"), (([1, 0], [2, 0]), "infinite index")):
+        data = tg.catalog("honeycomb").graph.to_json()
+        data["edges"][1]["disp"], data["edges"][2]["disp"] = disps
+        tg.TorusGraph(
+            {v["id"]: v["color"] for v in data["vertices"]},
+            {e["id"]: (e["black"], e["white"], e["disp"]) for e in data["edges"]},
+            data["rotations"],
+        )
+        with pytest.raises(tg.GraphError, match="sublattice of " + named):
+            tg.validate_graph(data)
+
+
 def test_not_bipartite_rejected():
     data = tg.catalog("honeycomb").graph.to_json()
     data["vertices"][0]["color"] = "w"
@@ -134,9 +148,8 @@ def test_newton_polygon_matches_catalog():
 
 
 def test_minimality_of_catalog():
-    for name in tg.CATALOG_NAMES:
-        ok, cert = tg.check_minimality(tg.catalog(name).graph)
-        assert ok, cert
+    for name in tg.CATALOG_NAMES + ("honeycomb_3", "square_lattice_3"):
+        assert check_minimality_against_window(tg.catalog(name).graph) is None, name
 
 
 def test_doubled_edge_not_minimal():
@@ -172,6 +185,174 @@ def test_parallel_bigon_certificate():
     ok, cert = tg.check_minimality(g)
     assert not ok
     assert cert["kind"] == "parallel_bigon"
+
+
+def _white_end(g, d, pos):
+    """Lift position of the white end of the edge under dart d, whose tail lies at pos."""
+    return pos if d[1] > 0 else poly.vadd(pos, g.dart_disp(d))
+
+
+def _window_crossings(g, za, zb):
+    """Crossings of the lift A0 of za with translates B + m of zb, over a window of lift shifts.
+
+    Returns ({m: sorted [(index along A0, index along B + m)]}, inner); only
+    crossings with |index along A0| <= inner are far enough from the window's
+    edge to be judged.
+    """
+    pa, pb = len(za.darts), len(zb.darts)
+    window = pa + pb + 2
+    buckets = {}
+    for i, (da, pos_a) in enumerate(zip(za.darts, za.positions)):
+        for j, (db, pos_b) in enumerate(zip(zb.darts, zb.positions)):
+            if da[0] != db[0]:
+                continue
+            qa, qb = _white_end(g, da, pos_a), _white_end(g, db, pos_b)
+            for s in range(-window, window + 1):
+                for t in range(-window, window + 1):
+                    m = (
+                        qa[0] + s * za.homology[0] - qb[0] - t * zb.homology[0],
+                        qa[1] + s * za.homology[1] - qb[1] - t * zb.homology[1],
+                    )
+                    buckets.setdefault(m, []).append((i + s * pa, j + t * pb))
+    for matches in buckets.values():
+        matches.sort()
+    return buckets, min(pa, pb) * (window - 2)
+
+
+def _window_bigon(matches, inner):
+    """Two crossings within inner, consecutive along A0 and along B + m, in the same order."""
+    for (ta1, tb1), (ta2, tb2) in zip(matches, matches[1:]):
+        if abs(ta1) > inner or abs(ta2) > inner or ta1 == ta2 or tb2 <= tb1:
+            continue
+        if not any(tb1 < tb < tb2 for _, tb in matches):
+            return True
+    return False
+
+
+def windowed_minimality(g):
+    """Reference for check_minimality: every pair of paths over a grid of lift shifts."""
+    zigzags = g.zigzags()
+    for z in zigzags:
+        if z.homology == (0, 0):
+            return False, {"kind": "trivial_zigzag", "path": z.id}
+        seen = set()
+        for d in z.darts:
+            if d[0] in seen:
+                return False, {"kind": "self_intersection", "path": z.id, "edge": d[0]}
+            seen.add(d[0])
+    for ai, za in enumerate(zigzags):
+        for zb in zigzags[ai + 1 :]:
+            buckets, inner = _window_crossings(g, za, zb)
+            for m, matches in buckets.items():
+                if _window_bigon(matches, inner):
+                    return False, {"kind": "parallel_bigon", "paths": [za.id, zb.id], "offset": list(m)}
+    return True, None
+
+
+def check_minimality_against_window(g):
+    """check_minimality agrees with the windowed search, and a bigon shows at its offset."""
+    ok, cert = tg.check_minimality(g)
+    ref_ok, ref = windowed_minimality(g)
+    drop = lambda c: c and {k: v for k, v in c.items() if k != "offset"}
+    assert (ok, drop(cert)) == (ref_ok, drop(ref)), g.to_json()
+    if cert and cert["kind"] == "parallel_bigon":
+        za, zb = (g.zigzag_by_id(z) for z in cert["paths"])
+        buckets, inner = _window_crossings(g, za, zb)
+        assert _window_bigon(buckets.get(tuple(cert["offset"]), []), inner), cert
+    return cert
+
+
+def _random_torus_graph(rng):
+    """1-3 black and 1-3 white vertices, random edges, rotations and disps; None if invalid."""
+    nb, nw = rng.randint(1, 3), rng.randint(1, 3)
+    vertices = {"b%d" % i: "b" for i in range(nb)}
+    vertices.update({"w%d" % i: "w" for i in range(nw)})
+    edges = {
+        "e%d" % k: (
+            "b%d" % rng.randrange(nb),
+            "w%d" % rng.randrange(nw),
+            (rng.randint(-2, 2), rng.randint(-2, 2)),
+        )
+        for k in range(rng.randint(3, 3 * nb + 2))
+    }
+    rotations = {v: [] for v in vertices}
+    for e, (b, w, _) in edges.items():
+        rotations[b].append(e)
+        rotations[w].append(e)
+    for r in rotations.values():
+        rng.shuffle(r)
+    try:
+        return tg.TorusGraph(vertices, edges, rotations)
+    except tg.GraphError:
+        return None
+
+
+def test_minimality_matches_window_on_random_graphs():
+    rng = random.Random(5)
+    kinds = {}
+    while sum(kinds.values()) < 1200:
+        g = _random_torus_graph(rng)
+        if g is None:
+            continue
+        cert = check_minimality_against_window(g)
+        kind = cert["kind"] if cert else "minimal"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["parallel_bigon"] >= 10 and kinds["minimal"] >= 100, kinds
+    assert kinds["self_intersection"] and kinds["trivial_zigzag"], kinds
+
+
+def test_parallel_paths_with_several_crossings_per_period():
+    # z0 and z2 both have class (-1, -1) and cross at e1, e2 and e4 in every
+    # period; the crossings alternate, so there is no bigon, but the class of
+    # each crossing must be taken modulo <h_a, h_b> for the three to be compared
+    g = tg.TorusGraph(
+        {"b0": "b", "b1": "b", "w0": "w", "w1": "w"},
+        {
+            "e0": ("b0", "w0", (0, 2)),
+            "e1": ("b1", "w0", (-1, -1)),
+            "e2": ("b1", "w1", (-2, 0)),
+            "e3": ("b0", "w0", (-2, 0)),
+            "e4": ("b0", "w1", (-2, 2)),
+        },
+        {"b0": ("e0", "e4", "e3"), "b1": ("e2", "e1"), "w0": ("e3", "e0", "e1"), "w1": ("e4", "e2")},
+    )
+    assert [z.homology for z in g.zigzags()] == [(-1, -1), (2, 2), (-1, -1)]
+    assert check_minimality_against_window(g) is None
+
+
+def test_parallel_bigon_rule():
+    bigon = tg._has_parallel_bigon
+    # finitely many crossings: neighbours along A must be neighbours along B, in the same order
+    assert bigon([(1, 1), (0, 0)], None)
+    assert not bigon([(0, 1), (1, 0)], None)
+    assert not bigon([(0, 0), (1, 2), (2, 1)], None)
+    assert bigon([(0, 3), (1, 0), (2, 1)], None)
+    # periodic crossings, compared along B modulo the B part of the period
+    assert bigon([(7, 4)], (3, 2))
+    assert not bigon([(7, 4)], (3, -2))
+    assert bigon([(0, 0), (1, 1)], (2, 4))
+    assert not bigon([(0, 0), (1, 5)], (2, 4))
+    assert bigon([(0, 0), (1, 3)], (2, -4))
+    assert not bigon([(0, 1), (1, 0)], (2, -4))
+
+
+def test_parallel_bigon_rule_matches_unrolled_periods():
+    """One period tested cyclically decides as the window rule does on many unrolled periods."""
+    rng = random.Random(3)
+    for _ in range(500):
+        pa = rng.randint(1, 6)
+        pb = rng.choice([-1, 1]) * rng.randint(pa, 8)
+        n = rng.randint(1, pa)
+        crossings = []
+        for ra, rb in zip(rng.sample(range(pa), n), rng.sample(range(abs(pb)), n)):
+            k = rng.randint(-2, 2)
+            crossings.append((ra + k * pa, rb + abs(pb) * rng.randint(-2, 2) + k * pb))
+        unrolled = sorted((ta + k * pa, tb + k * pb) for ta, tb in crossings for k in range(-40, 41))
+        expect = _window_bigon(unrolled, 2 * pa)
+        assert tg._has_parallel_bigon(list(crossings), (pa, pb)) == expect, (crossings, pa, pb)
+        assert tg._has_parallel_bigon(list(crossings), None) == _window_bigon(
+            sorted(crossings), float("inf")
+        )
 
 
 def test_trivial_zigzag_rejected_by_newton():
