@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import intlin, polygon as poly
+from . import DimermodError, intlin, polygon as poly
 from .groups import build_j, pair
 from .spectral import discrete_abel_map
 from .torusgraph import (
@@ -27,7 +27,7 @@ from .torusgraph import (
 )
 
 
-class MoveError(ValueError):
+class MoveError(DimermodError):
     pass
 
 
@@ -90,10 +90,12 @@ def spider_move(g, weights, face_id, tag="sp"):
     for d in darts[:3]:
         offsets.append(poly.vadd(offsets[-1], g.dart_disp(d)))
 
-    vertices = dict(g.vertices)
-    edges = {e: v for e, v in g.edges.items() if e not in old_edges}
-    rotations = dict(g.rotations)
-    new_weights = {e: w for e, w in weights.items() if e not in old_edges}
+    vertices = g.vertices.copy()
+    edges = g.edges.copy()
+    rotations = g.rotations.copy()
+    new_weights = weights.copy()
+    for e in old_edges:
+        del edges[e], new_weights[e]
 
     n_ids, leg_ids, quad_ids = [], [], []
     for i in range(4):
@@ -133,7 +135,7 @@ def spider_move(g, weights, face_id, tag="sp"):
     for i in range(4):
         rotations[n_ids[i]] = (quad_ids[i], quad_ids[(i - 1) % 4], leg_ids[i])
 
-    out = TorusGraph(vertices, edges, rotations)
+    out = TorusGraph(vertices, edges, rotations, parent=g, changed=corners + n_ids)
     removed = {(e, s) for e in old_edges for s in (1, -1)}
     return MoveOutcome(graph=out, weights=new_weights, removed_darts=removed, avoid_darts=set())
 
@@ -169,39 +171,37 @@ def contract_vertex(g, weights, v, tag="ct"):
         raise NotTwoValent("both edges at %s reach the same neighbor" % v)
 
     merged = _fresh(g, "%sm" % tag)
-    vertices = {k: c for k, c in g.vertices.items() if k not in (v, u, x)}
+    vertices = g.vertices.copy()
+    rotations = g.rotations.copy()
+    for k in (v, u, x):
+        del vertices[k], rotations[k]
     vertices[merged] = g.color(u)
 
-    edges = {}
-    new_weights = {}
-    for e, (b, w, d) in g.edges.items():
-        if e in (f1, f2):
-            continue
-        wt = weights[e]
-        if b == u or w == u:
-            wt = wt * weights[f2]
-        if b == x or w == x:
-            wt = wt * weights[f1]
-            d = poly.vsub(d, shift) if b == x else poly.vadd(d, shift)
-        b = merged if b in (u, x) else b
-        w = merged if w in (u, x) else w
-        edges[e] = (b, w, d)
-        new_weights[e] = wt
-
     def arc_after(vertex, skip):
-        r = list(g.rotations[vertex])
+        r = g.rotations[vertex]
         i = r.index(skip)
-        return [r[(i + 1 + t) % len(r)] for t in range(len(r) - 1)]
+        return r[i + 1:] + r[:i]
 
-    rotations = {k: r for k, r in g.rotations.items() if k not in (v, u, x)}
-    rotations[merged] = tuple(arc_after(u, f1) + arc_after(x, f2))
+    # only the edges at u and x change: they move to the merged vertex and
+    # are rescaled by the weight of the opposite deleted edge
+    arc_u, arc_x = arc_after(u, f1), arc_after(x, f2)
+    edges = g.edges.copy()
+    new_weights = weights.copy()
+    for e in (f1, f2):
+        del edges[e], new_weights[e]
+    for e in arc_u:
+        b, w, d = edges[e]
+        edges[e] = (merged, w, d) if b == u else (b, merged, d)
+        new_weights[e] = weights[e] * weights[f2]
+    for e in arc_x:
+        b, w, d = edges[e]
+        edges[e] = (merged, w, poly.vsub(d, shift)) if b == x else (b, merged, poly.vadd(d, shift))
+        new_weights[e] = weights[e] * weights[f1]
+    rotations[merged] = arc_u + arc_x
 
-    out = TorusGraph(vertices, edges, rotations)
+    out = TorusGraph(vertices, edges, rotations, parent=g, changed=(merged,))
     removed = {(e, s) for e in (f1, f2) for s in (1, -1)}
-    avoid = set()
-    for e in g.rotations[x]:
-        if e not in (f1, f2):
-            avoid.add((e, 1 if g.color(x) == WHITE else -1))
+    avoid = {(e, 1 if g.color(x) == WHITE else -1) for e in arc_x}
     return MoveOutcome(graph=out, weights=new_weights, removed_darts=removed, avoid_darts=avoid)
 
 
@@ -232,15 +232,16 @@ def expand_vertex(g, weights, v, first, second, tag="ex"):
     mid = _fresh(g, "%sv" % tag)
     ea, eb = _fresh(g, "%se1" % tag), _fresh(g, "%se2" % tag)
     col = g.color(v)
-    vertices = {k: c for k, c in g.vertices.items() if k != v}
+    vertices = g.vertices.copy()
+    del vertices[v]
     vertices[va] = vertices[vb] = col
     vertices[mid] = WHITE if col == BLACK else BLACK
 
-    edges = {}
-    for e, (b, w, d) in g.edges.items():
-        b = va if (b == v and e in first) else (vb if b == v else b)
-        w = va if (w == v and e in first) else (vb if w == v else w)
-        edges[e] = (b, w, d)
+    edges = g.edges.copy()
+    for arc, end in ((first, va), (second, vb)):
+        for e in arc:
+            b, w, d = edges[e]
+            edges[e] = (end, w, d) if col == BLACK else (b, end, d)
     if col == BLACK:
         edges[ea] = (va, mid, (0, 0))
         edges[eb] = (vb, mid, (0, 0))
@@ -248,15 +249,16 @@ def expand_vertex(g, weights, v, first, second, tag="ex"):
         edges[ea] = (mid, va, (0, 0))
         edges[eb] = (mid, vb, (0, 0))
 
-    rotations = {k: r for k, r in g.rotations.items() if k != v}
+    rotations = g.rotations.copy()
+    del rotations[v]
     rotations[va] = tuple([ea] + list(first))
     rotations[vb] = tuple([eb] + list(second))
     rotations[mid] = (ea, eb)
 
-    new_weights = dict(weights)
+    new_weights = weights.copy()
     new_weights[ea] = Fraction(1)
     new_weights[eb] = Fraction(1)
-    out = TorusGraph(vertices, edges, rotations)
+    out = TorusGraph(vertices, edges, rotations, parent=g, changed=(va, vb, mid))
     return MoveOutcome(graph=out, weights=new_weights, removed_darts=set(), avoid_darts=set())
 
 

@@ -13,8 +13,10 @@ import json
 from dataclasses import dataclass
 from math import gcd
 
+from . import DimermodError
 
-class PolygonError(ValueError):
+
+class PolygonError(DimermodError):
     pass
 
 

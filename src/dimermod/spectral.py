@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from . import intlin, polygon as poly
+from . import DimermodError, intlin, polygon as poly
 from .torusgraph import GraphError, UnbalancedColors, WHITE, _parse_rational
 
 
-class ZeroPolynomial(ValueError):
+class ZeroPolynomial(DimermodError):
     pass
 
 

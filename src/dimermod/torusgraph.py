@@ -25,10 +25,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import intlin, polygon as poly
+from . import DimermodError, intlin, polygon as poly
 
 
-class GraphError(ValueError):
+class GraphError(DimermodError):
     pass
 
 
@@ -85,20 +85,97 @@ class ZigZagPath:
         return [e for e, _ in self.darts]
 
 
-class TorusGraph:
-    """Immutable after construction; faces and zig-zag paths are cached."""
+class _Orbits:
+    """One dart permutation as a step table, with its orbits keyed by their least darts.
 
-    def __init__(self, vertices, edges, rotations):
-        self.vertices = dict(vertices)
-        self.edges = {e: (b, w, tuple(d)) for e, (b, w, d) in edges.items()}
-        self.rotations = {v: tuple(r) for v, r in rotations.items()}
-        self._validate_incidence()
-        self._check_connected()
-        self._face_by_id, self._face_of_dart = self._trace_faces()
-        self._faces = tuple(self._face_by_id.values())
-        self._check_topology()
-        self._zigzag_by_id, self._zz_of_dart = self._trace_zigzags()
-        self._zigzags = tuple(self._zigzag_by_id.values())
+    `key` maps each dart to the least dart of its orbit, and `at` maps that
+    dart to the orbit's record (a Face or a ZigZagPath), whose darts start
+    there and whose id is `prefix` followed by the rank of that dart.
+    """
+
+    def __init__(self, prefix, parent=None):
+        self.prefix = prefix
+        self.step = parent.step.copy() if parent else {}
+        self.key = parent.key.copy() if parent else {}
+        self.at = parent.at.copy() if parent else {}
+
+    def of(self, d):
+        return self.at[self.key[d]].id
+
+    def update(self, dirty, make):
+        """Trace again every orbit through a dart of dirty, then rank all orbits.
+
+        Orbits that meet dirty are dropped; their live darts and those of
+        dirty are traced in sorted order, so each new orbit starts at its
+        least dart.  make(id, darts, old) gives the record of an orbit whose
+        id is new, where old is its previous record or None for a new orbit.
+        Returns every record in order of id, and the new ones.
+        """
+        step, key = self.step, self.key
+        starts = {d for d in dirty if d in step}
+        for k in {key[d] for d in dirty if d in key}:
+            for d in self.at.pop(k).darts:
+                del key[d]
+                if d in step:
+                    starts.add(d)
+        new = {}
+        for d0 in sorted(starts):
+            if d0 in key:
+                continue
+            cycle = [d0]
+            d = step[d0]
+            while d != d0:
+                cycle.append(d)
+                d = step[d]
+            key.update(dict.fromkeys(cycle, d0))
+            new[d0] = tuple(cycle)
+            self.at[d0] = None
+        ranked = []
+        for i, k in enumerate(sorted(self.at)):
+            r = self.at[k]
+            rid = "%s%d" % (self.prefix, i)
+            if r is None or r.id != rid:
+                r = self.at[k] = make(rid, new[k] if r is None else r.darts, r)
+            ranked.append(r)
+        return tuple(ranked), [self.at[k] for k in new]
+
+
+class TorusGraph:
+    """Immutable after construction; faces and zig-zag paths are cached.
+
+    Faces and zig-zag paths are the orbits of two dart permutations, stored
+    as step tables, and each orbit is keyed by its least dart; ids rank the
+    orbits by that dart.  A local move passes its `parent` graph and the
+    vertices it `changed`, those whose rotation or incident edges are new.
+    Then only the step entries at those vertices are recomputed, and only
+    the orbits through a removed dart, a dart whose step changed or (for
+    zig-zag paths) a dart whose edge changed its displacement are traced
+    again and checked.  Every other orbit carries over, and so do the
+    connectivity and incidence that a local move preserves.  The graph
+    copies what it needs and keeps no reference to its parent.
+    """
+
+    def __init__(self, vertices, edges, rotations, parent=None, changed=()):
+        self._face = _Orbits("f", parent and parent._face)
+        self._zz = _Orbits("z", parent and parent._zz)
+        if parent is None:
+            self.vertices = dict(vertices)
+            self.edges = {e: (b, w, tuple(d)) for e, (b, w, d) in edges.items()}
+            self.rotations = {v: tuple(r) for v, r in rotations.items()}
+            self._validate_incidence()
+            self._check_connected()
+            dirty_f, dirty_z = self._set_steps(self.vertices)
+        else:
+            # a move hands over tuples, and keeps incidence and connectivity
+            self.vertices, self.edges = vertices.copy(), edges.copy()
+            self.rotations = rotations.copy()
+            dirty_f, dirty_z = self._set_steps(changed)
+            self._forget(parent, changed, dirty_f, dirty_z)
+        self._faces, traced = self._face.update(dirty_f, lambda fid, darts, old: Face(fid, darts))
+        self._check_topology(traced)
+        self._zigzags, _ = self._zz.update(dirty_z, self._zigzag)
+        self._face_by_id = {f.id: f for f in self._faces}
+        self._zigzag_by_id = {z.id: z for z in self._zigzags}
 
     # -- basic dart algebra -------------------------------------------------
 
@@ -127,28 +204,47 @@ class TorusGraph:
         dx, dy = self.disp(e)
         return (dx, dy) if s > 0 else (-dx, -dy)
 
-    def darts(self):
-        for e in self.edges:
-            yield (e, 1)
-            yield (e, -1)
+    def _set_steps(self, vs):
+        """Set the step entries of the darts into the vertices vs.
 
-    def _rot_step(self, v, e, delta):
-        rot = self.rotations[v]
-        i = rot.index(e)
-        return rot[(i + delta) % len(rot)]
+        A dart into v along the i-th edge of its rotation continues along its
+        face by the previous edge, and along its zig-zag path by the next
+        edge clockwise at a black v and counterclockwise at a white v.
+        Returns the darts whose face step and whose zig-zag step changed.
+        """
+        next_face, next_zz = self._face.step, self._zz.step
+        moved_f, moved_z = [], []
+        for v in vs:
+            rot = self.rotations[v]
+            s = 1 if self.vertices[v] == WHITE else -1  # sign of the darts leaving v
+            n = len(rot)
+            for i, e in enumerate(rot):
+                d = (e, -s)
+                f, z = (rot[i - 1], s), (rot[(i + s) % n], s)
+                if next_face.get(d) != f:
+                    next_face[d] = f
+                    moved_f.append(d)
+                if next_zz.get(d) != z:
+                    next_zz[d] = z
+                    moved_z.append(d)
+        return moved_f, moved_z
 
-    def _dart_from(self, v, e):
-        s = 1 if self.color(v) == WHITE else -1
-        return (e, s)
+    def _forget(self, parent, changed, dirty_f, dirty_z):
+        """Drop the steps of the edges parent loses, and mark their darts dirty.
 
-    def next_face_dart(self, d):
-        v = self.dart_head(d)
-        return self._dart_from(v, self._rot_step(v, d[0], -1))
-
-    def next_zigzag_dart(self, d):
-        v = self.dart_head(d)
-        delta = -1 if self.color(v) == BLACK else 1
-        return self._dart_from(v, self._rot_step(v, d[0], delta))
+        Darts of an edge at a changed vertex whose displacement changed are
+        dirty for zig-zag paths too, whose lift positions they shift.
+        """
+        for e in parent.edges.keys() - self.edges.keys():
+            for d in ((e, 1), (e, -1)):
+                del self._face.step[d], self._zz.step[d]
+                dirty_f.append(d)
+                dirty_z.append(d)
+        for v in changed:
+            for e in self.rotations[v]:
+                old = parent.edges.get(e)
+                if old is not None and old[2] != self.edges[e][2]:
+                    dirty_z += ((e, 1), (e, -1))
 
     # -- validation ----------------------------------------------------------
 
@@ -211,56 +307,32 @@ class TorusGraph:
         if len(pos) != len(self.vertices):
             raise Disconnected("graph is not connected")
 
-    def _orbits(self, step):
-        """Orbits of step, each starting at its least dart and listed in order of that dart."""
-        seen = set()
-        orbits = []
-        for d0 in sorted(self.darts()):
-            if d0 in seen:
-                continue
-            cycle = [d0]
-            d = step(d0)
-            while d != d0:
-                cycle.append(d)
-                d = step(d)
-            seen.update(cycle)
-            orbits.append(tuple(cycle))
-        return orbits
-
-    def _trace_faces(self):
-        faces = {}
-        face_of = {}
-        for i, cycle in enumerate(self._orbits(self.next_face_dart)):
-            f = Face(id="f%d" % i, darts=cycle)
-            faces[f.id] = f
-            for d in cycle:
-                face_of[d] = f.id
-        return faces, face_of
-
-    def _check_topology(self):
+    def _check_topology(self, traced):
+        """Euler's formula, and that each face in traced has zero displacement."""
         v, e, f = len(self.vertices), len(self.edges), len(self._faces)
         if v - e + f != 0:
             raise EulerMismatch("V-E+F = %d, expected 0 on the torus" % (v - e + f))
-        for face in self._faces:
-            total = (0, 0)
-            for d in face.darts:
-                total = poly.vadd(total, self.dart_disp(d))
+        for face in traced:
+            total = self._lift(face.darts)[-1]
             if total != (0, 0):
                 raise NonContractibleFace("face %s has displacement %r" % (face.id, total))
 
-    def _trace_zigzags(self):
-        paths = {}
-        zz_of = {}
-        for i, cycle in enumerate(self._orbits(self.next_zigzag_dart)):
-            pos = [(0, 0)]
-            for d in cycle[:-1]:
-                pos.append(poly.vadd(pos[-1], self.dart_disp(d)))
-            h = poly.vadd(pos[-1], self.dart_disp(cycle[-1]))
-            z = ZigZagPath(id="z%d" % i, darts=cycle, homology=h, positions=tuple(pos))
-            paths[z.id] = z
-            for d in cycle:
-                zz_of[d] = z.id
-        return paths, zz_of
+    def _zigzag(self, zid, cycle, old):
+        """The record of a zig-zag path: old under a new id, or a new one with its lift positions."""
+        if old is not None:
+            return ZigZagPath(zid, cycle, old.homology, old.positions)
+        pos = self._lift(cycle)
+        return ZigZagPath(id=zid, darts=cycle, homology=pos.pop(), positions=tuple(pos))
+
+    def _lift(self, darts):
+        """Lift positions of the tails of darts walked in turn from (0, 0), then of the last head."""
+        x = y = 0
+        pos = [(0, 0)]
+        for e, s in darts:
+            dx, dy = self.edges[e][2]
+            x, y = (x + dx, y + dy) if s > 0 else (x - dx, y - dy)
+            pos.append((x, y))
+        return pos
 
     # -- cached views ----------------------------------------------------------
 
@@ -268,7 +340,7 @@ class TorusGraph:
         return self._faces
 
     def face_of_dart(self, d):
-        return self._face_of_dart[d]
+        return self._face.of(d)
 
     def face_by_id(self, fid):
         if fid not in self._face_by_id:
@@ -279,7 +351,7 @@ class TorusGraph:
         return self._zigzags
 
     def zigzag_of_dart(self, d):
-        return self._zz_of_dart[d]
+        return self._zz.of(d)
 
     def zigzag_by_id(self, zid):
         if zid not in self._zigzag_by_id:

@@ -10,7 +10,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimermod import cli, torusgraph as tg
+from dimermod import DimermodError, cli, moves, polygon as poly, spectral as sp, torusgraph as tg
+from dimermod import suites
 from dimermod.suites import bundled_script
 
 DIAMOND = {"vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]]}
@@ -291,6 +292,22 @@ def test_verify_all_timing_flag(capsys):
     code, out = _run(capsys, ["verify-all", "--suite", "spectral", "--timing"])
     assert code == 0
     assert "timing_ms" in json.loads(out)
+
+
+def test_verify_all_timing_per_suite(capsys):
+    code, out = _run(capsys, ["verify-all", "--timing"])
+    assert code == 0
+    data = json.loads(out)
+    by_suite = data["timing_ms_by_suite"]
+    assert sorted(by_suite) == sorted(data["results"]) == sorted(suites.SUITES)
+    assert all(type(ms) is int and ms >= 0 for ms in by_suite.values())
+    assert data["timing_ms"] >= sum(by_suite.values())
+
+
+def test_error_families_share_one_base():
+    """cli.main maps every DimermodError to exit 2; each family stays a ValueError."""
+    for cls in (poly.PolygonError, tg.GraphError, moves.MoveError, sp.ZeroPolynomial):
+        assert issubclass(cls, DimermodError) and issubclass(cls, ValueError)
 
 
 def test_verify_all_deterministic(capsys):
