@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 failed verification assertion, 2 input error.
-Reports are deterministic for identical inputs and seed; timings, in total and
-per suite, are only attached under --timing so that byte-identical reruns stay
-the default.
+Reports are deterministic for identical inputs and seed; timings, in total,
+per suite and per check, are only attached under --timing so that
+byte-identical reruns stay the default.
 """
 
 from __future__ import annotations
@@ -212,10 +212,10 @@ def cmd_shuffle_phi(args):
 def cmd_verify_all(args):
     names = [args.suite] if args.suite else sorted(suites.SUITES)
     t0 = time.perf_counter()
-    failures, timing = {}, {}
+    failures, timing, by_check = {}, {}, {}
     for name in names:
         t = time.perf_counter()
-        failures[name] = suites.run_suite(name, seed=args.seed)
+        failures[name], by_check[name] = suites.run_suite(name, seed=args.seed)
         timing[name] = int((time.perf_counter() - t) * 1000)
     digest = hashlib.sha256(
         json.dumps({"suites": names, "seed": args.seed}, sort_keys=True).encode()
@@ -231,6 +231,7 @@ def cmd_verify_all(args):
     if args.timing:
         report["timing_ms"] = int((time.perf_counter() - t0) * 1000)
         report["timing_ms_by_suite"] = timing
+        report["timing_ms_by_check"] = by_check
     _emit(report)
     return 0 if not report["failed_assertions"] else 1
 

@@ -185,18 +185,18 @@ def torsion_lattice(p):
     """The lattice L with L / H_1(T, Z) isomorphic to the torsion of A.
 
     L hat is the saturation of the image of j inside Z^{E_N}; L is its
-    rational preimage under j, returned in the canonical basis.
+    rational preimage under j, returned in the canonical basis.  With
+    U j V = D, L hat is spanned by the columns of U^-1 below the rank, and
+    j maps column i of V divided by d_i onto column i of U^-1, so one
+    decomposition gives the generators.
     """
     if genus(p) < 1:
         raise NoInteriorPoint("torsion lattice needs an interior lattice point")
-    b = _matrix(build_j(p))
-    sat = intlin.saturation_basis(b)
-    gens = []
-    for col in sat:
-        x = intlin.solve_rational(b, col)
-        if x is None:
-            raise AssertionError("saturation vector not in the rational image of j")
-        gens.append(tuple(x))
+    snf = intlin.smith_normal_form(_matrix(build_j(p)))
+    gens = [
+        tuple(Fraction(row[i], d) for row in snf.v)
+        for i, d in enumerate(snf.invariant_factors())
+    ]
     lat = TorsionLattice(basis=_canonical_lattice_basis(gens))
     if not (lat.contains((1, 0)) and lat.contains((0, 1))):
         raise AssertionError("torsion lattice does not contain H_1(T, Z)")

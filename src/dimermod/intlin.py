@@ -1,16 +1,15 @@
 """Exact integer linear algebra: Smith/Hermite forms and abelian group data.
 
 Matrices are lists of rows, rows are lists of Python ints, so every entry is
-arbitrary precision.  Nothing in this module touches floating point; the
-rational solver returns `fractions.Fraction`.  The normal-form routines return
-the unimodular transforms as well, because callers need generators and
-canonical coset representatives, not just invariant factors.
+arbitrary precision.  Nothing in this module touches floating point.  The
+normal-form routines return the unimodular transforms as well, because
+callers need generators and canonical coset representatives, not just
+invariant factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class DimensionMismatch(ValueError):
@@ -57,15 +56,14 @@ def mat_vec(a, x):
 class SmithDecomposition:
     """U @ B @ V == D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    `u_inv` and `v_inv` are the exact inverses; they come for free from the
-    elimination and are what the saturation/kernel helpers actually use.
+    `cokernel` reads D alone, `solve_integer` reads U and V, `kernel_basis`
+    the columns of V past the rank, and `groups.torsion_lattice` the columns
+    of V below it.
     """
 
     u: list
     d: list
     v: list
-    u_inv: list
-    v_inv: list
 
     def diagonal(self):
         rows, cols = mat_shape(self.d)
@@ -110,7 +108,7 @@ class FgAbelianGroup:
 
 
 def smith_normal_form(b):
-    """Exact Smith normal form with all four transforms.
+    """Exact Smith normal form with both transforms.
 
     Returns a SmithDecomposition with U*B*V == D, diagonal nonnegative and
     forming a divisibility chain.  Pivoting always picks the smallest nonzero
@@ -118,42 +116,33 @@ def smith_normal_form(b):
     """
     d = mat_copy(b)
     rows, cols = mat_shape(d)
-    u, u_inv = identity_matrix(rows), identity_matrix(rows)
-    v, v_inv = identity_matrix(cols), identity_matrix(cols)
+    u, v = identity_matrix(rows), identity_matrix(cols)
 
     def row_op(i, j, q):
-        # row_j -= q*row_i on D and U; inverse op on u_inv columns.
+        # row_j -= q*row_i on D and U
         d[j] = [x - q * y for x, y in zip(d[j], d[i])]
         u[j] = [x - q * y for x, y in zip(u[j], u[i])]
-        for r in range(rows):
-            u_inv[r][i] += q * u_inv[r][j]
 
     def col_op(i, j, q):
-        # col_j -= q*col_i on D and V; inverse op on v_inv rows.
+        # col_j -= q*col_i on D and V
         for r in range(rows):
             d[r][j] -= q * d[r][i]
         for r in range(cols):
             v[r][j] -= q * v[r][i]
-        v_inv[i] = [x + q * y for x, y in zip(v_inv[i], v_inv[j])]
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
         u[i], u[j] = u[j], u[i]
-        for r in range(rows):
-            u_inv[r][i], u_inv[r][j] = u_inv[r][j], u_inv[r][i]
 
     def col_swap(i, j):
         for r in range(rows):
             d[r][i], d[r][j] = d[r][j], d[r][i]
         for r in range(cols):
             v[r][i], v[r][j] = v[r][j], v[r][i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def row_negate(i):
         d[i] = [-x for x in d[i]]
         u[i] = [-x for x in u[i]]
-        for r in range(rows):
-            u_inv[r][i] = -u_inv[r][i]
 
     n = min(rows, cols)
     for k in range(n):
@@ -202,7 +191,7 @@ def smith_normal_form(b):
                     break
                 row_op(bad, k, -1)
 
-    return SmithDecomposition(u=u, d=d, v=v, u_inv=u_inv, v_inv=v_inv)
+    return SmithDecomposition(u=u, d=d, v=v)
 
 
 def cokernel(b, rows=None):
@@ -233,34 +222,27 @@ def kernel_basis(b):
     return [[snf.v[i][j] for i in range(cols)] for j in range(r, cols)]
 
 
-def saturation_basis(b):
-    """Basis (as columns) of the saturation of the column span of B in Z^rows."""
-    snf = smith_normal_form(b)
-    rows = len(b)
-    r = snf.rank()
-    return [[snf.u_inv[i][j] for i in range(rows)] for j in range(r)]
+def solve_integer(b, y):
+    """An integer x with B x = y, or None if there is none.
 
-
-def solve_rational(b, y):
-    """Solve B x = y exactly over Q, or return None if inconsistent."""
+    With U B V = D, x = V z where D z = U y; every row of that diagonal
+    system is checked, the rows past the rank and past the columns too.
+    """
     rows, cols = mat_shape(b)
     if len(y) != rows:
         raise DimensionMismatch("rhs length != rows")
     snf = smith_normal_form(b)
-    uy = mat_vec(snf.u, y)
-    z = []
-    for i in range(cols):
-        di = snf.d[i][i] if i < rows else 0
+    z = [0] * cols
+    for i, c in enumerate(mat_vec(snf.u, y)):
+        di = snf.d[i][i] if i < cols else 0
         if di == 0:
-            if i < rows and uy[i] != 0:
+            if c != 0:
                 return None
-            z.append(Fraction(0))
-        else:
-            z.append(Fraction(uy[i], di))
-    for i in range(cols, rows):
-        if uy[i] != 0:
+        elif c % di != 0:
             return None
-    return [sum(Fraction(snf.v[i][j]) * z[j] for j in range(cols)) for i in range(cols)]
+        else:
+            z[i] = c // di
+    return mat_vec(snf.v, z)
 
 
 def column_hermite(b):

@@ -1,13 +1,15 @@
 """Verification suites shared by the CLI `verify-all` and the acceptance tests.
 
 Every check function returns a list of failure strings; an empty list means
-the suite passed.  All randomness is driven by the caller's seed so reports
-are reproducible byte for byte.
+the check passed.  A suite is a list of named checks, each run on the seed.
+All randomness is driven by the caller's seed so reports are reproducible
+byte for byte.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 from . import intlin, moves, polygon as poly, spectral as sp, torusgraph as tg
@@ -351,19 +353,30 @@ def bundled_script(name):
 
 
 SUITES = {
-    "group": lambda seed: (
-        check_worked_example()
-        + check_rank_law(seed)
-        + check_genus_zero_formula()
-        + check_pic0(seed)
+    "group": (
+        ("worked_example", lambda seed: check_worked_example()),
+        ("rank_law", check_rank_law),
+        ("genus_zero_formula", lambda seed: check_genus_zero_formula()),
+        ("pic0", check_pic0),
     ),
-    "moves": lambda seed: check_move_invariance(seed) + check_domino_shuffle(),
-    "spectral": lambda seed: (
-        check_newton_extraction() + check_abel_map() + check_kasteleyn_oracle(seed)
+    "moves": (
+        ("move_invariance", check_move_invariance),
+        ("domino_shuffle", lambda seed: check_domino_shuffle()),
     ),
-    "appendix": lambda seed: check_building_blocks(seed),
+    "spectral": (
+        ("newton_extraction", lambda seed: check_newton_extraction()),
+        ("abel_map", lambda seed: check_abel_map()),
+        ("kasteleyn_oracle", check_kasteleyn_oracle),
+    ),
+    "appendix": (("building_blocks", check_building_blocks),),
 }
 
 
 def run_suite(name, seed=0):
-    return SUITES[name](seed)
+    """The failures of every check of the suite, in order, and each check's time in ms."""
+    fails, timing = [], {}
+    for check, run in SUITES[name]:
+        t = time.perf_counter()
+        fails += run(seed)
+        timing[check] = int((time.perf_counter() - t) * 1000)
+    return fails, timing

@@ -151,8 +151,10 @@ class TorusGraph:
     the orbits through a removed dart, a dart whose step changed or (for
     zig-zag paths) a dart whose edge changed its displacement are traced
     again and checked.  Every other orbit carries over, and so do the
-    connectivity and incidence that a local move preserves.  The graph
-    copies what it needs and keeps no reference to its parent.
+    connectivity, the incidence and `span_index` (the index in H_1 of the
+    span of the cycle classes, None if infinite), which a local move
+    preserves.  The graph copies what it needs and keeps no reference to
+    its parent.
     """
 
     def __init__(self, vertices, edges, rotations, parent=None, changed=()):
@@ -163,12 +165,13 @@ class TorusGraph:
             self.edges = {e: (b, w, tuple(d)) for e, (b, w, d) in edges.items()}
             self.rotations = {v: tuple(r) for v, r in rotations.items()}
             self._validate_incidence()
-            self._check_connected()
+            self.span_index = _span_index(self._check_connected())
             dirty_f, dirty_z = self._set_steps(self.vertices)
         else:
-            # a move hands over tuples, and keeps incidence and connectivity
+            # a move hands over tuples, and keeps incidence, connectivity and span
             self.vertices, self.edges = vertices.copy(), edges.copy()
             self.rotations = rotations.copy()
+            self.span_index = parent.span_index
             dirty_f, dirty_z = self._set_steps(changed)
             self._forget(parent, changed, dirty_f, dirty_z)
         self._faces, traced = self._face.update(dirty_f, lambda fid, darts, old: Face(fid, darts))
@@ -301,11 +304,13 @@ class TorusGraph:
         return poly.vsub(poly.vadd(pos[w], d), pos[b])
 
     def _check_connected(self):
+        """The cycle classes of the non-tree edges of one spanning tree, which must reach every vertex."""
         if not self.vertices:
             raise Disconnected("empty graph")
-        pos, _, _ = self.spanning_tree(min(self.vertices))
+        pos, _, nontree = self.spanning_tree(min(self.vertices))
         if len(pos) != len(self.vertices):
             raise Disconnected("graph is not connected")
+        return [self.cycle_class(pos, e) for e in nontree]
 
     def _check_topology(self, traced):
         """Euler's formula, and that each face in traced has zero displacement."""
@@ -378,6 +383,15 @@ class TorusGraph:
         }
 
 
+def _span_index(classes):
+    """Index of the span of the cycle classes in H_1 of the torus, Z^2, or None if infinite.
+
+    It is the product of the pivots of the classes' column Hermite form.
+    """
+    h, pivots = intlin.column_hermite([[c[0] for c in classes], [c[1] for c in classes]])
+    return h[0][0] * h[1][1] if len(pivots) == 2 else None
+
+
 def is_id_list(x):
     """True iff x is a list of strings, the JSON form of a list of vertex or edge ids."""
     return isinstance(x, list) and all(isinstance(s, str) for s in x)
@@ -394,7 +408,11 @@ def _record_id(kind, i, rec, seen):
 
 
 def validate_graph(data):
-    """Build a TorusGraph from the JSON dict shape; all invariants checked."""
+    """Build a TorusGraph from the JSON dict shape; all invariants checked.
+
+    The constructor checks all but one; a file must also have cycle classes
+    that span H_1 of the torus, which the constructor measures but allows.
+    """
     if not isinstance(data, dict):
         raise GraphError("a graph must be a JSON object")
     for key, kind, name in (
@@ -425,11 +443,8 @@ def validate_graph(data):
             raise GraphError("rotation at %s: %r is not a list of edge ids" % (v, r))
     rotations = {v: tuple(r) for v, r in data["rotations"].items()}
     g = TorusGraph(vertices, edges, rotations)
-    pos, _, nontree = g.spanning_tree(min(g.vertices))
-    classes = [g.cycle_class(pos, e) for e in nontree]
-    index = intlin.cokernel([[c[0] for c in classes], [c[1] for c in classes]], rows=2).order()
-    if index != 1:
-        span = "infinite index" if index is None else "index %d" % index
+    if g.span_index != 1:
+        span = "infinite index" if g.span_index is None else "index %d" % g.span_index
         raise GraphError("cycle classes span a sublattice of %s in H_1 of the torus" % span)
     return g
 
@@ -486,7 +501,10 @@ def check_minimality(g):
         za, zb = zigzags[a], zigzags[b]
         lattice, c = _lift_lattice(za, zb), poly.vsub(qa, qb)
         m = intlin.reduce_mod_image(c, lattice)
-        s, t = _integer_solution(lattice, list(poly.vsub(m, c)))
+        st = intlin.solve_integer(lattice, list(poly.vsub(m, c)))
+        if st is None:
+            raise GraphError("edge %s: lift offset is not in the lattice of its two zig-zag classes" % e)
+        s, t = st
         classes.setdefault((a, b, m), []).append((i + s * len(za.darts), j + t * len(zb.darts)))
     for (a, b, m), crossings in sorted(classes.items()):
         za, zb = zigzags[a], zigzags[b]
@@ -558,11 +576,15 @@ def seed_of(g):
     return Seed(face_ids=fids, epsilon=eps, face_cycles=cycles)
 
 
-def face_variable(g, weights, face):
+def face_variable(g, weights, cycle):
+    """Weights multiplied along the white->black darts of a face or zig-zag path, divided along the others."""
     x = Fraction(1)
-    for e, s in face.darts:
+    for e, s in cycle.darts:
         x = x * weights[e] if s > 0 else x / weights[e]
     return x
+
+
+zigzag_monodromy = face_variable
 
 
 def _weight_potentials(g, weights):
@@ -592,30 +614,14 @@ def torus_monodromies(g, weights):
     mat = [[c[0] for c in classes], [c[1] for c in classes]]
     out = []
     for target in ((1, 0), (0, 1)):
-        x = _integer_solution(mat, list(target))
+        x = intlin.solve_integer(mat, list(target))
+        if x is None:
+            raise GraphError("homology classes of cycles do not span the torus")
         m = Fraction(1)
         for c, h in zip(x, hols):
             m *= h ** c
         out.append(m)
     return tuple(out)
-
-
-def _integer_solution(mat, target):
-    snf = intlin.smith_normal_form(mat)
-    uy = intlin.mat_vec(snf.u, target)
-    rows = len(mat)
-    cols = len(mat[0])
-    z = [0] * cols
-    for i in range(min(rows, cols)):
-        di = snf.d[i][i]
-        if di == 0:
-            if uy[i] != 0:
-                raise GraphError("homology classes of cycles do not span the torus")
-            continue
-        if uy[i] % di != 0:
-            raise GraphError("homology classes of cycles do not span the torus")
-        z[i] = uy[i] // di
-    return intlin.mat_vec(snf.v, z)
 
 
 def face_variables(g, weights):
@@ -631,13 +637,6 @@ def face_variables(g, weights):
     if total != 1:
         raise AssertionError("face variables do not multiply to 1")
     return xs, torus_monodromies(g, weights)
-
-
-def zigzag_monodromy(g, weights, z):
-    m = Fraction(1)
-    for e, s in z.darts:
-        m = m * weights[e] if s > 0 else m / weights[e]
-    return m
 
 
 # -- weights -----------------------------------------------------------------

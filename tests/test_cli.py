@@ -304,6 +304,18 @@ def test_verify_all_timing_per_suite(capsys):
     assert data["timing_ms"] >= sum(by_suite.values())
 
 
+def test_verify_all_timing_per_check(capsys):
+    code, out = _run(capsys, ["verify-all", "--timing"])
+    assert code == 0
+    data = json.loads(out)
+    by_check = data["timing_ms_by_check"]
+    assert sorted(by_check) == sorted(suites.SUITES)
+    for name, checks in by_check.items():
+        assert sorted(checks) == sorted(check for check, _ in suites.SUITES[name])
+        assert all(type(ms) is int and ms >= 0 for ms in checks.values())
+        assert data["timing_ms_by_suite"][name] >= sum(checks.values())
+
+
 def test_error_families_share_one_base():
     """cli.main maps every DimermodError to exit 2; each family stays a ValueError."""
     for cls in (poly.PolygonError, tg.GraphError, moves.MoveError, sp.ZeroPolynomial):

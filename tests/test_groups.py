@@ -1,5 +1,6 @@
 """Group computations from the polygon: the worked example and the laws."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from dimermod import groups, intlin, polygon as poly
+from dimermod import groups, intlin, polygon as poly, suites
 from dimermod.groups import (
     ambient_quotient,
     build_j,
@@ -93,6 +94,37 @@ def test_torsion_lattice_diamond():
         (Fraction(-1, 2), Fraction(1, 2)),
     )
     assert lat.index_over_standard() == 2
+
+
+def test_torsion_lattice_maps_onto_the_saturation():
+    # j(L) is the saturation of j(H_1) in Z^4: (0, -1, 0, 1) = j(-1/2, 1/2)
+    # lies in it but not in the image of H_1
+    b = [list(r) for r in build_j(DIAMOND).matrix]
+    images = [intlin.mat_vec(b, v) for v in torsion_lattice(DIAMOND).basis]
+    assert images == [[-1, 1, 1, -1], [0, -1, 0, 1]]
+    target = [0, -1, 0, 1]
+    assert intlin.in_image(target, [list(r) for r in zip(*images)])
+    assert not intlin.in_image(target, b)
+
+
+def test_torsion_lattice_against_enumeration():
+    # L is {x in Q^2 : j(x) integral}, and N L lies in Z^2 for N the largest
+    # torsion factor of A, so L / Z^2 is enumerated on the grid (1/N) Z^2
+    g1, _ = suites.random_polygon_corpus(0)
+    for p in g1:
+        lat = torsion_lattice(p)
+        a = ambient_quotient(p)
+        n = a.torsion[-1] if a.torsion else 1
+        order = 1
+        for d in a.torsion:
+            order *= d
+        rows = build_j(p).matrix
+        found = 0
+        for x in itertools.product([Fraction(i, n) for i in range(n)], repeat=2):
+            integral = all((r[0] * x[0] + r[1] * x[1]).denominator == 1 for r in rows)
+            assert lat.contains(x) == integral, (p.vertices, x)
+            found += integral
+        assert lat.index_over_standard() == found == order, p.vertices
 
 
 def test_torsion_lattice_needs_interior_point():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dimermod import polygon as poly, torusgraph as tg
+from dimermod import intlin, polygon as poly, torusgraph as tg
 
 
 def test_catalog_square_lattice_shape():
@@ -55,17 +55,45 @@ def test_duplicate_ids_rejected():
 
 
 def test_cycle_classes_must_span_the_torus():
-    # one face and V - E + F = 0, so the constructor accepts both; the file loader does not
-    for disps, named in ((([2, 0], [0, 1]), "index 2"), (([1, 0], [2, 0]), "infinite index")):
+    # one face and V - E + F = 0, so the constructor accepts both and measures
+    # the span; the file loader rejects them
+    for disps, index, named in ((([2, 0], [0, 1]), 2, "index 2"), (([1, 0], [2, 0]), None, "infinite index")):
         data = tg.catalog("honeycomb").graph.to_json()
         data["edges"][1]["disp"], data["edges"][2]["disp"] = disps
-        tg.TorusGraph(
+        g = tg.TorusGraph(
             {v["id"]: v["color"] for v in data["vertices"]},
             {e["id"]: (e["black"], e["white"], e["disp"]) for e in data["edges"]},
             data["rotations"],
         )
+        assert g.span_index == index
         with pytest.raises(tg.GraphError, match="sublattice of " + named):
             tg.validate_graph(data)
+
+
+def test_graph_file_is_checked_in_one_walk(monkeypatch):
+    walks = []
+    walk = tg.TorusGraph.spanning_tree
+    monkeypatch.setattr(tg.TorusGraph, "spanning_tree", lambda g, root: walks.append(root) or walk(g, root))
+    data = tg.catalog("square_lattice_2").graph.to_json()
+    walks.clear()
+    assert tg.validate_graph(data).span_index == 1
+    assert len(walks) == 1
+
+
+def test_span_index_matches_the_cokernel():
+    # the Hermite pivots against the order of Z^2 / span of the cycle classes
+    rng = random.Random(9)
+    seen = set()
+    for _ in range(300):
+        g = _random_torus_graph(rng)
+        if g is None:
+            continue
+        pos, _, nontree = g.spanning_tree(min(g.vertices))
+        classes = [g.cycle_class(pos, e) for e in nontree]
+        want = intlin.cokernel([[c[0] for c in classes], [c[1] for c in classes]], rows=2).order()
+        assert g.span_index == want
+        seen.add(want)
+    assert {None, 1} < seen, seen
 
 
 def test_not_bipartite_rejected():
