@@ -185,7 +185,7 @@ def _run_script(args):
         raise InputError("script %s: %s" % (args.script, exc))
     base = _load_graph(script.graph)
     w = _load_weights(args.weights, base)
-    return moves.run_sequence(script, w)
+    return moves.run_sequence(script, w, base)
 
 
 def cmd_shuffle_apply(args):

@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: Smith/Hermite forms and abelian group data.
+"""Exact integer linear algebra: Smith/Hermite forms, abelian group data and
+fraction-free (Bareiss) elimination.
 
 Matrices are lists of rows, rows are lists of Python ints, so every entry is
 arbitrary precision.  Nothing in this module touches floating point.  The
@@ -56,7 +57,7 @@ def mat_vec(a, x):
 class SmithDecomposition:
     """U @ B @ V == D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    `cokernel` reads D alone, `solve_integer` reads U and V, `kernel_basis`
+    `cokernel` reads D alone, `solve` reads U and V, `kernel_basis`
     the columns of V past the rank, and `groups.torsion_lattice` the columns
     of V below it.
     """
@@ -74,6 +75,27 @@ class SmithDecomposition:
 
     def invariant_factors(self):
         return [x for x in self.diagonal() if x != 0]
+
+    def solve(self, y):
+        """An integer x with B x = y, or None if there is none.
+
+        x = V z where D z = U y; every row of that diagonal system is
+        checked, the rows past the rank and past the columns too.
+        """
+        rows, cols = mat_shape(self.d)
+        if len(y) != rows:
+            raise DimensionMismatch("rhs length != rows")
+        z = [0] * cols
+        for i, c in enumerate(mat_vec(self.u, y)):
+            di = self.d[i][i] if i < cols else 0
+            if di == 0:
+                if c != 0:
+                    return None
+            elif c % di != 0:
+                return None
+            else:
+                z[i] = c // di
+        return mat_vec(self.v, z)
 
 
 @dataclass(frozen=True)
@@ -223,26 +245,8 @@ def kernel_basis(b):
 
 
 def solve_integer(b, y):
-    """An integer x with B x = y, or None if there is none.
-
-    With U B V = D, x = V z where D z = U y; every row of that diagonal
-    system is checked, the rows past the rank and past the columns too.
-    """
-    rows, cols = mat_shape(b)
-    if len(y) != rows:
-        raise DimensionMismatch("rhs length != rows")
-    snf = smith_normal_form(b)
-    z = [0] * cols
-    for i, c in enumerate(mat_vec(snf.u, y)):
-        di = snf.d[i][i] if i < cols else 0
-        if di == 0:
-            if c != 0:
-                return None
-        elif c % di != 0:
-            return None
-        else:
-            z[i] = c // di
-    return mat_vec(snf.v, z)
+    """An integer x with B x = y, or None if there is none (`SmithDecomposition.solve`)."""
+    return smith_normal_form(b).solve(y)
 
 
 def column_hermite(b):
@@ -316,29 +320,109 @@ def in_image(x, b):
     return all(c == 0 for c in reduce_mod_image(x, b))
 
 
+class Elimination:
+    """Fraction-free (Bareiss) elimination with column pivoting, row by row.
+
+    A row is given by its entries at `cols`, the increasing columns free
+    when this elimination starts, and `reduce` carries it through every step
+    so far: at step k, with pivot p_k and p_{k-1} before it (`start` for
+    k = 0), entry j becomes (a_j p_k - a_c u_j) / p_{k-1}, where c is the
+    step's column and u its pivot row.  After k steps, by Sylvester's
+    identity, entry j is the minor on the pivot rows and that row, over the
+    pivot columns and column j, divided by start^k.  A first elimination
+    starts at 1, so that is a minor of its integer matrix.  An elimination
+    `continued` from another starts at that one's last pivot and takes rows
+    that one reduced, and the quotient is again a minor of the first
+    matrix.  Either way each division is exact.
+
+    `extend` pivots each new row at its first nonzero free column, and
+    `sign` is the parity of the column order of those pivots.  So `pivot` is
+    the minor on all the rows of the chain so far, times the product of the
+    chain's signs.
+    """
+
+    __slots__ = ("cols", "free", "start", "steps", "sign", "parent", "_images")
+
+    def __init__(self, cols, parent=None):
+        self.cols = self.free = tuple(cols)
+        self.start = parent.pivot if parent else 1
+        self.steps = ()  # (index of the pivot column among the free ones, pivot, pivot row)
+        self.sign = 1
+        self.parent = parent
+        self._images = None  # (free column -> index, pivot column -> image)
+
+    @property
+    def pivot(self):
+        return self.steps[-1][1] if self.steps else self.start
+
+    def continued(self):
+        """An elimination of rows this one reduced, from its last pivot."""
+        return Elimination(self.free, self)
+
+    def reduce(self, row):
+        """The row's entries at the free columns after every step so far."""
+        prev = self.start
+        for k, p, top in self.steps:
+            x = row[k]
+            rest = row[:k] + row[k + 1 :]
+            row = [(a * p - x * u) // prev for a, u in zip(rest, top)]
+            prev = p
+        return row
+
+    def reduce_sum(self, entries):
+        """The row with these (column, value) entries, reduced by linearity.
+
+        The row and its columns belong to the first elimination of the chain
+        that this one continues, and each elimination of the chain reduces
+        it in turn.  A column still free reduces to `pivot` times itself.
+        Any other column's image is its unit row so reduced, computed once;
+        the divisions are exact because the unit row is one more row of an
+        integer matrix.
+        """
+        if self._images is None:
+            self._images = ({c: k for k, c in enumerate(self.free)}, {})
+        index, images = self._images
+        out = [0] * len(self.free)
+        for col, x in entries:
+            if not x:
+                continue
+            k = index.get(col)
+            if k is not None:
+                out[k] += x * self.pivot
+                continue
+            img = images.get(col)
+            if img is None:
+                if self.parent:
+                    row = self.parent.reduce_sum(((col, 1),))
+                else:
+                    row = [int(c == col) for c in self.cols]
+                img = images[col] = self.reduce(row)
+            out = [a + x * u for a, u in zip(out, img)]
+        return out
+
+    def extend(self, rows):
+        """This elimination continued by `rows`, or None if they are dependent on it."""
+        out = Elimination(self.cols, self.parent)
+        out.free, out.steps, out.sign = self.free, self.steps, self.sign
+        for row in rows:
+            row = out.reduce(row)
+            k = next((k for k, x in enumerate(row) if x), None)
+            if k is None:
+                return None
+            out.free = out.free[:k] + out.free[k + 1 :]
+            out.steps += ((k, row[k], row[:k] + row[k + 1 :]),)
+            if k % 2:
+                out.sign = -out.sign
+        return out
+
+
 def det(a):
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(a)
-    if n == 0:
-        return 1
     if any(len(row) != n for row in a):
         raise DimensionMismatch("determinant needs a square matrix")
-    m = mat_copy(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    e = Elimination(range(n)).extend(a)
+    return 0 if e is None else e.sign * e.pivot
 
 
 def is_unimodular(a):

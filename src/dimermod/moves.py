@@ -462,13 +462,15 @@ def _check_closing(g_final, g_base, closing):
     return vmap, emap, kappa
 
 
-def run_sequence(script, weights):
+def run_sequence(script, weights, base=None):
     """Push weights and strand anchors through the script and close up.
 
+    `base` is the script's graph when the caller has already loaded it.
     Returns the translation profile: per-strand strip offsets, their family
     sums g(E_rho), and the canonical reduced class modulo j H_1.
     """
-    base = resolve_graph(script.graph)
+    if base is None:
+        base = resolve_graph(script.graph)
     if sorted(weights) != sorted(base.edges):
         raise MoveError("weights must cover exactly the base edges")
     if any(w == 0 for w in weights.values()):

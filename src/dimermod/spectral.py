@@ -227,36 +227,53 @@ def laurent_det(mat):
     integer determinant is taken at every point of (0..Dz) x (0..Dw) and
     interpolated, first in w and then in z; dividing by prod s_r and
     multiplying by z^(sum a_r) w^(sum b_r) undoes the row scaling.
+
+    Those determinants share one Bareiss elimination, staged by what a row
+    depends on: the rows free of z and w are eliminated once, the rows in z
+    alone once per z-node, and only the remaining rows at every node.  Each
+    stage reduces once every column that a later row uses, so it reduces a
+    later row by summing over the row's few entries.  Dependent constant
+    rows make the determinant 0; rows in z alone that are dependent at a
+    z-node make that node's values 0.
     """
     shift_z = shift_w = dz = dw = 0
     scale = 1
-    rows = []
-    for row in mat:
+    stages = ([], [], [])  # (row index, integer terms): constant, in z alone, the rest
+    for r, row in enumerate(mat):
         terms = [(col, i, j, c) for col, p in enumerate(row) for (i, j), c in p.terms.items()]
         if not terms:
             return LaurentPoly2()
-        lo_i = min(t[1] for t in terms)
-        lo_j = min(t[2] for t in terms)
+        lo_i, hi_i = min(t[1] for t in terms), max(t[1] for t in terms)
+        lo_j, hi_j = min(t[2] for t in terms), max(t[2] for t in terms)
         m = lcm(*(t[3].denominator for t in terms))
         shift_z += lo_i
         shift_w += lo_j
-        dz += max(t[1] for t in terms) - lo_i
-        dw += max(t[2] for t in terms) - lo_j
+        dz += hi_i - lo_i
+        dw += hi_j - lo_j
         scale *= m
-        rows.append([(col, i - lo_i, j - lo_j, int(c * m)) for col, i, j, c in terms])
-    n = len(rows)
+        stage = 2 if hi_j > lo_j else 1 if hi_i > lo_i else 0
+        stages[stage].append((r, [(col, i - lo_i, j - lo_j, int(c * m)) for col, i, j, c in terms]))
+    const, zonly, rest = ([terms for _, terms in stage] for stage in stages)
+    # With no steps taken, reduce_sum writes a row out over all the columns.
+    whole = intlin.Elimination(range(len(mat)))
+    first = whole.extend([whole.reduce_sum(_evaluate(t, [1], [1]).items()) for t in const])
+    if first is None:
+        return LaurentPoly2()
+    sign = _perm_sign([r for stage in stages for r, _ in stage]) * first.sign
     by_z = []
     for a in range(dz + 1):
         pa = [a**k for k in range(dz + 1)]
-        values = []
-        for b in range(dw + 1):
+        second = first.continued().extend(
+            [first.reduce_sum(_evaluate(t, pa, [1]).items()) for t in zonly]
+        )
+        values = [0] * (dw + 1)
+        for b in range(dw + 1 if second is not None else 0):
             pb = [b**k for k in range(dw + 1)]
-            num = [[0] * n for _ in range(n)]
-            for r, terms in enumerate(rows):
-                nr = num[r]
-                for col, i, j, c in terms:
-                    nr[col] += c * pa[i] * pb[j]
-            values.append(intlin.det(num))
+            third = second.continued().extend(
+                [second.reduce_sum(_evaluate(t, pa, pb).items()) for t in rest]
+            )
+            if third is not None:
+                values[b] = sign * second.sign * third.sign * third.pivot
         by_z.append(_interpolate(values))
     out = {}
     for j in range(dw + 1):
@@ -264,6 +281,14 @@ def laurent_det(mat):
             if c:
                 out[(i + shift_z, j + shift_w)] = Fraction(c, scale)
     return LaurentPoly2(out)
+
+
+def _evaluate(terms, pa, pb):
+    """A row's integer terms at a node, as column -> value; pa, pb hold the powers."""
+    out = {}
+    for col, i, j, c in terms:
+        out[col] = out.get(col, 0) + c * pa[i] * pb[j]
+    return out
 
 
 def _interpolate(values):

@@ -601,8 +601,8 @@ def torus_monodromies(g, weights):
     """Monodromies along fixed cycles of class (1,0) and (0,1).
 
     The cycles are combinations of spanning-tree fundamental cycles; the integer
-    combination is produced by the Smith solver, so it is deterministic for a
-    given graph.
+    combinations are solved from one Smith decomposition of their classes, so
+    they are deterministic for a given graph.
     """
     pos, phi, nontree = _weight_potentials(g, weights)
     hols = []
@@ -611,10 +611,10 @@ def torus_monodromies(g, weights):
         b, w, _ = g.edges[e]
         classes.append(g.cycle_class(pos, e))
         hols.append(phi[w] * weights[e] / phi[b])
-    mat = [[c[0] for c in classes], [c[1] for c in classes]]
+    snf = intlin.smith_normal_form([[c[0] for c in classes], [c[1] for c in classes]])
     out = []
     for target in ((1, 0), (0, 1)):
-        x = intlin.solve_integer(mat, list(target))
+        x = snf.solve(list(target))
         if x is None:
             raise GraphError("homology classes of cycles do not span the torus")
         m = Fraction(1)

@@ -128,6 +128,18 @@ def test_shuffle_apply_with_weights(tmp_path, capsys):
     assert data["trivial"] is True
 
 
+@pytest.mark.parametrize("command", ["apply", "phi"])
+def test_shuffle_reads_the_script_graph_once(command, tmp_path, capsys, monkeypatch):
+    script = bundled_script("domino_shuffle")
+    script["graph"] = _write(tmp_path, "g.json", tg.resolve_graph(script["graph"]).to_json())
+    s = _write(tmp_path, "s.json", script)
+    reads = []
+    validate = tg.validate_graph
+    monkeypatch.setattr(tg, "validate_graph", lambda data: reads.append(1) or validate(data))
+    code, _ = _run(capsys, ["shuffle", command, "--script", s])
+    assert code == 0 and len(reads) == 1
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

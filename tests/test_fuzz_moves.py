@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dimermod import moves, polygon as poly, torusgraph as tg
+from dimermod import intlin, moves, polygon as poly, torusgraph as tg
 from dimermod.suites import bundled_script, spider_cross_checks
 from test_torusgraph import check_minimality_against_window
 
@@ -90,48 +90,67 @@ def test_spanning_tree_of_catalog_graphs(name):
     _check_spanning_tree(tg.catalog(name).graph)
 
 
-def test_random_move_walks_keep_invariants():
-    rng = random.Random(99)
-    for start in ("square_lattice", "honeycomb"):
+# (seed, start graphs, moves per walk, tag of the new names) of the two walks
+INVARIANT_WALKS = (99, ("square_lattice", "honeycomb"), 12, "f%d")
+STRAND_WALK = (7, ("square_lattice",), 15, "t%d")
+
+
+def random_walks(seed, starts, steps, tag):
+    """Seeded walks of random moves, one from each catalog graph in `starts`.
+
+    Yields (step, g, w, move, outcome) per move, g and w being the graph and
+    weights before the move; each walk starts with weights drawn from the rng.
+    """
+    rng = random.Random(seed)
+    for start in starts:
         g = tg.catalog(start).graph
         w = tg.random_weights(g, rng)
-        classes = _class_multiset(g)
-        mono = sorted(
-            (z.homology, tg.zigzag_monodromy(g, w, z)) for z in g.zigzags()
-        )
-        for step in range(12):
-            options = _applicable_moves(g, rng)
-            move = rng.choice(options)
-            if "spider" in move:
-                # the full cross-check battery on the evolved graph
-                fails = spider_cross_checks(g, w, move["spider"], spectral=False)
-                assert fails == [], (start, step, fails)
-            out = moves._apply_move(g, w, move, tag="f%d" % step)
+        for step in range(steps):
+            move = rng.choice(_applicable_moves(g, rng))
+            out = moves._apply_move(g, w, move, tag=tag % step)
+            yield step, g, w, move, out
             g, w = out.graph, out.weights
-            _assert_same_as_full_build(g)
-            _check_spanning_tree(g)
-            assert check_minimality_against_window(g) is None
-            # validated by construction; check the conserved quantities
-            assert _class_multiset(g) == classes, (start, step, move)
-            assert _product_of_faces(g, w) == 1
-            assert sorted(
+
+
+def walk_graphs(every=3):
+    """Every `every`-th graph, with its weights, of the two walks below."""
+    for walk in (INVARIANT_WALKS, STRAND_WALK):
+        for step, _, _, _, out in random_walks(*walk):
+            if step % every == every - 1:
+                yield out.graph, out.weights
+
+
+def test_random_move_walks_keep_invariants():
+    for step, g, w, move, out in random_walks(*INVARIANT_WALKS):
+        if step == 0:
+            classes = _class_multiset(g)
+            mono = sorted(
                 (z.homology, tg.zigzag_monodromy(g, w, z)) for z in g.zigzags()
-            ) == mono
+            )
+        if "spider" in move:
+            # the full cross-check battery on the evolved graph
+            fails = spider_cross_checks(g, w, move["spider"], spectral=False)
+            assert fails == [], (step, fails)
+        g, w = out.graph, out.weights
+        _assert_same_as_full_build(g)
+        _check_spanning_tree(g)
+        assert check_minimality_against_window(g) is None
+        # validated by construction; check the conserved quantities
+        assert _class_multiset(g) == classes, (step, move)
+        assert _product_of_faces(g, w) == 1
+        assert sorted(
+            (z.homology, tg.zigzag_monodromy(g, w, z)) for z in g.zigzags()
+        ) == mono
 
 
 def test_random_walk_strand_tracking_stays_bijective():
-    rng = random.Random(7)
-    g = tg.catalog("square_lattice").graph
-    w = tg.random_weights(g, rng)
-    anchors = {z.id: moves.Anchor(dart=z.darts[0], translate=(0, 0)) for z in g.zigzags()}
-    classes = {z.id: z.homology for z in g.zigzags()}
-    for step in range(15):
-        options = _applicable_moves(g, rng)
-        move = rng.choice(options)
+    for step, g, w, move, out in random_walks(*STRAND_WALK):
+        if step == 0:
+            anchors = {z.id: moves.Anchor(dart=z.darts[0], translate=(0, 0)) for z in g.zigzags()}
+            classes = {z.id: z.homology for z in g.zigzags()}
         current = {
             zid: g.zigzag_by_id(g.zigzag_of_dart(a.dart)) for zid, a in anchors.items()
         }
-        out = moves._apply_move(g, w, move, tag="t%d" % step)
         for zid, a in anchors.items():
             anchors[zid] = moves._advance_anchor(
                 g, current[zid], a, out.removed_darts, out.avoid_darts
@@ -146,6 +165,39 @@ def test_random_walk_strand_tracking_stays_bijective():
             assert pid not in seen
             seen.add(pid)
             assert g.zigzag_by_id(pid).homology == classes[zid]
+
+
+def _monodromies_one_solve_per_target(g, weights):
+    """torus_monodromies as it was with one Smith form per target class."""
+    pos, phi, nontree = tg._weight_potentials(g, weights)
+    hols, classes = [], []
+    for e in sorted(nontree):
+        b, w, _ = g.edges[e]
+        classes.append(g.cycle_class(pos, e))
+        hols.append(phi[w] * weights[e] / phi[b])
+    mat = [[c[0] for c in classes], [c[1] for c in classes]]
+    out = []
+    for target in ((1, 0), (0, 1)):
+        m = Fraction(1)
+        for c, h in zip(intlin.solve_integer(mat, list(target)), hols):
+            m *= h ** c
+        out.append(m)
+    return tuple(out)
+
+
+def test_torus_monodromies_match_one_solve_per_target(monkeypatch):
+    rng = random.Random(41)
+    names = ["honeycomb", "square_lattice"] + [
+        "%s_%d" % (family, k) for family in ("honeycomb", "square_lattice") for k in range(2, 5)
+    ]
+    graphs = [(g, tg.random_weights(g, rng)) for g in (tg.catalog(n).graph for n in names)]
+    for g, w in graphs + list(walk_graphs(every=1)):
+        assert tg.torus_monodromies(g, w) == _monodromies_one_solve_per_target(g, w)
+    forms = []
+    smith = intlin.smith_normal_form
+    monkeypatch.setattr(intlin, "smith_normal_form", lambda b: forms.append(b) or smith(b))
+    tg.torus_monodromies(*graphs[-1])
+    assert len(forms) == 1
 
 
 @pytest.mark.parametrize("name", ["domino_shuffle", "translation_x", "translation_y"])

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from dimermod import polygon as poly, spectral as sp, torusgraph as tg
 from dimermod.groups import pair
+from test_fuzz_moves import walk_graphs
 
 
 def test_laurent_arithmetic():
@@ -161,6 +163,174 @@ def test_laurent_det_small_matrices():
     assert sp.laurent_det([[x, x], [x, x]]).is_zero()
 
 
+def _bareiss_det(a):
+    """Integer determinant by Bareiss elimination with row swaps, kept apart from intlin's."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [row[:] for row in a]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _det_box(mat):
+    """Reference determinant: one full Bareiss determinant per node of the degree box.
+
+    The same row shift and scaling, box and interpolation as `laurent_det`,
+    with no staging: every node's integer matrix is built and eliminated whole.
+    """
+    shift_z = shift_w = dz = dw = 0
+    scale = 1
+    rows = []
+    for row in mat:
+        terms = [(col, i, j, c) for col, p in enumerate(row) for (i, j), c in p.terms.items()]
+        if not terms:
+            return sp.LaurentPoly2()
+        lo_i = min(t[1] for t in terms)
+        lo_j = min(t[2] for t in terms)
+        m = lcm(*(t[3].denominator for t in terms))
+        shift_z += lo_i
+        shift_w += lo_j
+        dz += max(t[1] for t in terms) - lo_i
+        dw += max(t[2] for t in terms) - lo_j
+        scale *= m
+        rows.append([(col, i - lo_i, j - lo_j, int(c * m)) for col, i, j, c in terms])
+    n = len(rows)
+    by_z = []
+    for a in range(dz + 1):
+        values = []
+        for b in range(dw + 1):
+            num = [[0] * n for _ in range(n)]
+            for r, terms in enumerate(rows):
+                for col, i, j, c in terms:
+                    num[r][col] += c * a**i * b**j
+            values.append(_bareiss_det(num))
+        by_z.append(sp._interpolate(values))
+    out = {}
+    for j in range(dw + 1):
+        for i, c in enumerate(sp._interpolate([coeffs[j] for coeffs in by_z])):
+            if c:
+                out[(i + shift_z, j + shift_w)] = Fraction(c, scale)
+    return sp.LaurentPoly2(out)
+
+
+# exponent offsets a row of each kind draws from, after its own monomial shift
+_ROW_KINDS = {
+    "constant": ([0], [0]),
+    "z": ([0, 1, 2], [0]),
+    "w": ([0], [0, 1, 2]),
+    "mixed": ([0, 1], [0, 1]),
+}
+
+
+def _random_row(rng, n, kind):
+    zs, ws = _ROW_KINDS[kind]
+    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+    row = []
+    for _ in range(n):
+        terms = {}
+        if rng.random() < 0.6:
+            for _ in range(rng.randint(1, 3)):
+                terms[(a + rng.choice(zs), b + rng.choice(ws))] = Fraction(
+                    rng.randint(-4, 4), rng.randint(1, 4)
+                )
+        row.append(sp.LaurentPoly2(terms))
+    return row
+
+
+def test_staged_det_matches_box_on_mixed_rows():
+    rng = random.Random(31)
+    kinds = sorted(_ROW_KINDS)
+    for n in range(7):
+        for _ in range(200):
+            mat = [_random_row(rng, n, rng.choice(kinds)) for _ in range(n)]
+            assert sp.laurent_det(mat) == _det_box(mat)
+
+
+def test_staged_det_dependent_constant_rows():
+    rng = random.Random(32)
+    for n in range(2, 6):
+        for _ in range(10):
+            mat = [_random_row(rng, n, "constant")] + [
+                _random_row(rng, n, rng.choice(("z", "w", "mixed"))) for _ in range(n - 2)
+            ]
+            # a second constant row, a multiple of the first shifted by a monomial
+            mat.insert(rng.randint(1, n - 1), [p.scale(Fraction(-3, 2)).shift(1, -1) for p in mat[0]])
+            assert _det_box(mat).is_zero()
+            assert sp.laurent_det(mat).is_zero()
+
+
+def test_staged_det_z_row_singular_at_one_node():
+    """(z - 1) e_c vanishes at the z-node 1 alone, and so does the determinant."""
+    rng = random.Random(33)
+    z_minus_1 = sp.LaurentPoly2({(1, 0): 1, (0, 0): -1})
+    nonzero = 0
+    for n in range(1, 6):
+        for _ in range(10):
+            c = rng.randrange(n)
+            mat = [_random_row(rng, n, rng.choice(sorted(_ROW_KINDS))) for _ in range(n - 1)]
+            row = [z_minus_1 if col == c else sp.LaurentPoly2() for col in range(n)]
+            mat.insert(rng.randint(0, n - 1), row)
+            got = sp.laurent_det(mat)
+            assert got == _det_box(mat)
+            # z = 1 is a root: at each power of w the coefficients sum to 0
+            for j in {j for _, j in got.terms}:
+                assert sum(x for (_, jj), x in got.terms.items() if jj == j) == 0
+            nonzero += not got.is_zero()
+    assert nonzero >= 10
+    # two rows in z alone, dependent exactly at z = 2, under a mixed row
+    z = sp.LaurentPoly2({(1, 0): 1})
+    one = sp.LaurentPoly2({(0, 0): 1})
+    zero = sp.LaurentPoly2()
+    mat = [[z, one, zero], [one.scale(2), z + one.scale(-1), zero], [one, z, z.shift(0, 1)]]
+    want = sp.LaurentPoly2({(3, 1): 1, (2, 1): -1, (1, 1): -2})  # z w (z - 2)(z + 1)
+    assert sp.laurent_det(mat) == _det_box(mat) == want
+
+
+def test_staged_det_zero_rows():
+    rng = random.Random(34)
+    for n in range(1, 6):
+        for kind in sorted(_ROW_KINDS):
+            mat = [_random_row(rng, n, kind) for _ in range(n)]
+            mat[rng.randrange(n)] = [sp.LaurentPoly2() for _ in range(n)]
+            assert sp.laurent_det(mat).is_zero()
+    assert sp.laurent_det([]) == _det_box([]) == sp.LaurentPoly2({(0, 0): 1})
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["honeycomb_%d" % k for k in range(2, 7)]
+    + ["honeycomb", "square_lattice"]
+    + ["square_lattice_%d" % k for k in range(2, 5)],
+)
+def test_staged_det_matches_box_on_catalog(name):
+    rng = random.Random("box " + name)
+    g = tg.catalog(name).graph
+    mat = sp.kasteleyn_matrix(g, _signed_weights(g, rng))
+    assert sp.laurent_det(mat) == _det_box(mat)
+
+
+def test_staged_det_matches_box_on_walk_graphs():
+    """The walks' moves leave displacements that are not the catalog pattern."""
+    rng = random.Random(35)
+    for g, w in walk_graphs():
+        for weights in (w, _signed_weights(g, rng)):
+            mat = sp.kasteleyn_matrix(g, weights)
+            assert sp.laurent_det(mat) == _det_box(mat)
+
+
 def test_laurent_json_rejects_bad_coefficients():
     for coeff in ("1/0", "x", "1/2/3", 0.5, None):
         with pytest.raises(ValueError, match="coefficient of z\\^1 w\\^-2"):
@@ -169,7 +339,15 @@ def test_laurent_json_rejects_bad_coefficients():
 
 def test_newton_polygon_of_characteristic_polynomial():
     rng = random.Random(17)
-    names = ("honeycomb", "square_lattice", "square_lattice_2", "square_lattice_4", "honeycomb_6")
+    names = (
+        "honeycomb",
+        "square_lattice",
+        "square_lattice_2",
+        "square_lattice_4",
+        "honeycomb_6",
+        "square_lattice_5",
+        "honeycomb_8",
+    )
     for name in names:
         entry = tg.catalog(name)
         for weights in (tg.all_ones_weights(entry.graph), tg.random_weights(entry.graph, rng)):
