@@ -29,24 +29,6 @@ def mat_shape(a):
     return len(a), len(a[0]) if a else 0
 
 
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    if a and len(a[0]) != k:
-        raise DimensionMismatch("inner dimensions differ")
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += c * bt[j]
-    return out
-
-
 def mat_vec(a, x):
     if a and len(a[0]) != len(x):
         raise DimensionMismatch("matrix/vector sizes differ")
@@ -315,11 +297,6 @@ def reduce_mod_image(x, b):
     return tuple(out)
 
 
-def in_image(x, b):
-    """True iff x lies in the column span of B over Z."""
-    return all(c == 0 for c in reduce_mod_image(x, b))
-
-
 class Elimination:
     """Fraction-free (Bareiss) elimination with column pivoting, row by row.
 
@@ -423,7 +400,3 @@ def det(a):
         raise DimensionMismatch("determinant needs a square matrix")
     e = Elimination(range(n)).extend(a)
     return 0 if e is None else e.sign * e.pivot
-
-
-def is_unimodular(a):
-    return abs(det(a)) == 1

@@ -205,18 +205,6 @@ def contract_vertex(g, weights, v, tag="ct"):
     return MoveOutcome(graph=out, weights=new_weights, removed_darts=removed, avoid_darts=avoid)
 
 
-def contract_white(g, weights, v, tag="ct"):
-    if g.color(v) != WHITE:
-        raise NotTwoValent("%s is not white" % v)
-    return contract_vertex(g, weights, v, tag)
-
-
-def contract_black(g, weights, v, tag="ct"):
-    if g.color(v) != BLACK:
-        raise NotTwoValent("%s is not black" % v)
-    return contract_vertex(g, weights, v, tag)
-
-
 def expand_vertex(g, weights, v, first, second, tag="ex"):
     """Inverse of contract: split v in two along contiguous rotation arcs,
     joined through a fresh 2-valent vertex of the opposite color."""
@@ -338,6 +326,7 @@ class SequenceResult:
     profile: TranslationProfile
     fates: dict
     genus: int
+    abel: object = None  # the base graph's Abel map, when the profile needed it
 
 
 class MoveScript:
@@ -520,7 +509,7 @@ def run_sequence(script, weights, base=None):
         offset = poly.vsub(c, tz.positions[idx])
         fates[zid] = StrandFate(target=target, offset=offset)
 
-    profile = _profile_from_fates(base, base_poly, labels, fates)
+    profile, abel = _profile_from_fates(base, base_poly, labels, fates)
     return SequenceResult(
         base_graph=base,
         polygon=base_poly,
@@ -529,6 +518,7 @@ def run_sequence(script, weights, base=None):
         profile=profile,
         fates=fates,
         genus=poly.genus(base_poly),
+        abel=abel,
     )
 
 
@@ -550,6 +540,7 @@ def _black_tail_lift(g, z, translate):
 
 
 def _profile_from_fates(base, base_poly, labels, fates):
+    """The translation profile, and the Abel map of base if a permuted family needed it."""
     families = _family_members(labels)
     per_strand = {}
     abel = None
@@ -594,7 +585,7 @@ def _profile_from_fates(base, base_poly, labels, fates):
     gvec = [per_edge.get(rho, 0) for rho in range(n)]
     b = [list(r) for r in build_j(base_poly).matrix]
     reduced = intlin.reduce_mod_image(gvec, b)
-    return TranslationProfile(per_strand=per_strand, per_edge=per_edge, reduced=reduced)
+    return TranslationProfile(per_strand=per_strand, per_edge=per_edge, reduced=reduced), abel
 
 
 def psi(result, polygon=None):
@@ -624,10 +615,13 @@ def abel_shift(result, base_vertex=None):
     For each strand, the level of its tracked lift before and after the
     sequence is the coefficient of its own label in the Abel map at a black
     vertex on the lift; the shift collects the differences.  A translation
-    by m yields exactly div chi^m.
+    by m yields exactly div chi^m.  The map `run_sequence` built from the
+    default base vertex is reused.
     """
     base = result.base_graph
-    abel = discrete_abel_map(base, base_vertex)
+    abel = result.abel
+    if abel is None or base_vertex is not None:
+        abel = discrete_abel_map(base, base_vertex)
     shift = {}
     for zid, fate in result.fates.items():
         z0 = base.zigzag_by_id(zid)

@@ -101,7 +101,8 @@ class ConvexIntegralPolygon:
         return out
 
     def multiplicities(self):
-        return [d.multiplicity for d in self.edge_data()]
+        """Lattice length of each side: the gcd of its edge vector."""
+        return [gcd(e[0], e[1]) for e in self.edges()]
 
     def area2(self):
         """Twice the area (shoelace); positive for ccw polygons."""
@@ -230,13 +231,35 @@ def polygon_from_edge_vectors(vectors):
     return poly.translate((-base[0], -base[1]))
 
 
-def interior_lattice_points(p):
-    """(g, interior points) by scanning the bounding box; cross-checked against Pick.
+def _interior_points_by_column(p):
+    """The strict interior lattice points of p in (x, y) order, one column at a time.
 
-    Only for callers that need the points themselves; counts come from
-    `genus` and `lattice_point_count` in O(#vertices).
+    Each column's range is read off the sides: a side (e_x, e_y) from v keeps
+    the points with e_x (y - v_y) > e_y (x - v_x), a lower bound on y when
+    e_x > 0 and an upper bound when e_x < 0.  A vertical side lies at the
+    least or greatest x, where no point is interior.  Nothing scans the
+    bounding box, and the walk stops when its caller does.
     """
-    pts = [q for q in p.lattice_points() if p.contains(q, strict=True)]
+    vs = p.vertices
+    sides = [(v, vsub(w, v)) for v, w in zip(vs, vs[1:] + vs[:1])]
+    lower = [(v, e) for v, e in sides if e[0] > 0]
+    upper = [(v, e) for v, e in sides if e[0] < 0]
+    (x0, _), (x1, _) = p.bounding_box()
+    for x in range(x0 + 1, x1):
+        lo = max(vy + ey * (x - vx) // ex + 1 for (vx, vy), (ex, ey) in lower)
+        hi = min(vy - ey * (x - vx) // -ex - 1 for (vx, vy), (ex, ey) in upper)
+        for y in range(lo, hi + 1):
+            yield (x, y)
+
+
+def interior_lattice_points(p):
+    """(g, interior points in (x, y) order), cross-checked against Pick.
+
+    Only for callers that list the points themselves (`polygon info`, the
+    building-block check of `verify-all`); counts come from `genus` and
+    `lattice_point_count` in O(#vertices).
+    """
+    pts = list(_interior_points_by_column(p))
     boundary = len(p.boundary_lattice_points())
     # Pick: 2*Area = 2*I + B - 2, exactly.
     if p.area2() != 2 * len(pts) + boundary - 2:
@@ -244,14 +267,20 @@ def interior_lattice_points(p):
     return len(pts), pts
 
 
+def _pick_counts(area2, boundary):
+    """(lattice points, interior points) of a closed lattice polygon with this
+    2A and B, by Pick's theorem: 2A = 2I + B - 2."""
+    return (area2 + boundary + 2) // 2, (area2 - boundary + 2) // 2
+
+
 def genus(p):
-    """Number of interior lattice points, by Pick's theorem: 2A = 2I + B - 2."""
-    return (p.area2() - sum(p.multiplicities()) + 2) // 2
+    """Number of interior lattice points, by Pick's theorem."""
+    return _pick_counts(p.area2(), sum(p.multiplicities()))[1]
 
 
 def lattice_point_count(p):
     """Number of lattice points of the closed polygon, I + B, by Pick's theorem."""
-    return (p.area2() + sum(p.multiplicities()) + 2) // 2
+    return _pick_counts(p.area2(), sum(p.multiplicities()))[0]
 
 
 def apply_sl2(p, m):
@@ -287,17 +316,68 @@ def _polygon_from_boundary_chain(points):
     return validate_polygon(corners)
 
 
-def _chord_pieces(p, a, b):
-    """Split p along the chord a-b into its two closed pieces."""
-    ring = p.boundary_lattice_points()
-    ia, ib = ring.index(a), ring.index(b)
-    arc1 = ring[ia : ib + 1] if ia <= ib else ring[ia:] + ring[: ib + 1]
-    arc2 = ring[ib : ia + 1] if ib <= ia else ring[ib:] + ring[: ia + 1]
-    return _polygon_from_boundary_chain(arc1), _polygon_from_boundary_chain(arc2)
+def _chord_cut(ring, count):
+    """The first admissible piece cut off by a chord of the polygon with this
+    ring of boundary points, or None.
+
+    Chords (a, b), a < b, are taken in lexicographic order.  With the ring
+    r_0..r_(n-1) and the prefix sums of cross(r_t, r_t+1), the piece from
+    r_i counterclockwise to r_j, closed by the chord, has
+    2A = (sum of cross(r_t, r_t+1) from t = i to j - 1) + cross(r_j, r_i)
+    and B = ((j - i) mod n) + gcd(r_i - r_j), so Pick's theorem counts it in
+    O(1).  A chord along one side cuts off a piece with 2A = 0 and is
+    skipped.  Only the pieces of the chord taken become polygons.
+    """
+    n = len(ring)
+    at = {r: t for t, r in enumerate(ring)}
+    swept = [0]
+    for t in range(n):
+        swept.append(swept[-1] + cross(ring[t], ring[(t + 1) % n]))
+    total = swept[n]
+    order = sorted(ring)
+    for s, a in enumerate(order):
+        i = at[a]
+        for b in order[s + 1 :]:
+            j = at[b]
+            area_ij = swept[j] - swept[i] + cross(b, a) + (total if j < i else 0)
+            area_ji = total - area_ij
+            if area_ij == 0 or area_ji == 0:
+                continue
+            g = gcd(a[0] - b[0], a[1] - b[1])
+            arcs = []
+            for area2, lo, hi in ((area_ij, i, j), (area_ji, j, i)):
+                points, interior = _pick_counts(area2, (hi - lo) % n + g)
+                if points < count and interior >= 1:
+                    arcs.append(ring[lo : hi + 1] if lo <= hi else ring[lo:] + ring[: hi + 1])
+            if arcs:
+                pieces = [_polygon_from_boundary_chain(arc) for arc in arcs]
+                return min(pieces, key=lambda c: (lattice_point_count(c), c.vertices))
+    return None
 
 
-def _admissible(piece, count):
-    return lattice_point_count(piece) < count and genus(piece) >= 1
+def _triangle_cut(q, ring, count):
+    """The first admissible triangle (a, b, y): y an interior point of q, a-b a
+    chord between points of its boundary ring.
+
+    Interior points are taken in (x, y) order and, for each, the chords in
+    lexicographic order; each triangle is counted by Pick's theorem, with
+    2A = |cross(b - a, y - a)| and B the sum of the gcds of its three sides.
+    """
+    order = sorted(ring)
+    for y in _interior_points_by_column(q):
+        for s, a in enumerate(order):
+            ay = (y[0] - a[0], y[1] - a[1])
+            g_ay = gcd(*ay)
+            for b in order[s + 1 :]:
+                ab = (b[0] - a[0], b[1] - a[1])
+                area2 = abs(cross(ab, ay))
+                if area2 == 0:
+                    continue
+                boundary = gcd(*ab) + gcd(y[0] - b[0], y[1] - b[1]) + g_ay
+                points, interior = _pick_counts(area2, boundary)
+                if points < count and interior >= 1:
+                    return validate_polygon([a, b, y])
+    return None
 
 
 def find_building_block(p):
@@ -308,9 +388,13 @@ def find_building_block(p):
     splitting off boundary points), and when no chord is admissible, cut a
     triangle through an interior lattice point and two boundary points (the
     step that isolates one interior point when the boundary has no spare
-    lattice points).  Every accepted piece strictly reduces the total lattice
-    point count, so the loop terminates; candidates are scanned in
-    lexicographic order, so the result is reproducible.
+    lattice points).  A cut is admissible when its piece has an interior
+    point and fewer lattice points than the polygon it cuts, so the loop
+    terminates; candidates are scanned in lexicographic order, and among the
+    two pieces of a chord the one with fewer points (then the smaller vertex
+    tuple) is taken, so the result is reproducible.  Every candidate is
+    counted by Pick's theorem from its boundary, and the interior points of
+    the fallback are walked column by column; no bounding box is scanned.
     """
     if genus(p) < 1:
         raise NoInteriorPoint("polygon has no interior lattice point")
@@ -318,33 +402,7 @@ def find_building_block(p):
     while not is_building_block(q):
         count = lattice_point_count(q)
         ring = q.boundary_lattice_points()
-        chords = sorted(
-            (min(a, b), max(a, b)) for i, a in enumerate(ring) for b in ring[i + 1 :]
-        )
-        step = None
-        for a, b in chords:
-            try:
-                pieces = _chord_pieces(q, a, b)
-            except PolygonError:
-                continue
-            found = [pc for pc in pieces if _admissible(pc, count)]
-            if found:
-                found.sort(key=lambda c: (lattice_point_count(c), c.vertices))
-                step = found[0]
-                break
-        if step is None:
-            interior = interior_lattice_points(q)[1]
-            for y in interior:
-                for a, b in chords:
-                    try:
-                        tri = validate_polygon([a, b, y])
-                    except PolygonError:
-                        continue
-                    if _admissible(tri, count):
-                        step = tri
-                        break
-                if step is not None:
-                    break
+        step = _chord_cut(ring, count) or _triangle_cut(q, ring, count)
         if step is None:
             raise AssertionError("no admissible cut found; should be impossible for convex input")
         q = step

@@ -198,10 +198,6 @@ class TorusGraph:
         e, s = d
         return self.white(e) if s > 0 else self.black(e)
 
-    def dart_head(self, d):
-        e, s = d
-        return self.black(e) if s > 0 else self.white(e)
-
     def dart_disp(self, d):
         e, s = d
         dx, dy = self.disp(e)

@@ -108,6 +108,29 @@ def test_bb_find(tmp_path, capsys):
     assert len(json.loads(out)["vertices"]) <= 4
 
 
+def test_bb_find_genus_zero_exits_2(tmp_path, capsys):
+    p = _write(tmp_path, "t.json", {"vertices": [[0, 0], [1, 0], [0, 1]]})
+    assert cli.main(["bb", "find", "--polygon", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("NoInteriorPoint: ")
+    assert "Traceback" not in captured.err
+
+
+def test_bb_find_never_scans_the_bounding_box(tmp_path, capsys, monkeypatch):
+    """The triangle cut walks the interior column by column, not the bounding box."""
+
+    def scan(self):
+        raise AssertionError("bounding box scanned")
+
+    p = _write(tmp_path, "t.json", {"vertices": [[0, 0], [397, 1], [2, 391]]})
+    monkeypatch.setattr(poly.ConvexIntegralPolygon, "lattice_points", scan)
+    code, out = _run(capsys, ["bb", "find", "--polygon", p])
+    assert code == 0
+    # the block the reference search of tests/test_polygon.py returns
+    assert json.loads(out) == {"vertices": [[0, 0], [1, 194], [2, 391]]}
+
+
 def test_shuffle_phi(tmp_path, capsys):
     s = _write(tmp_path, "s.json", bundled_script("domino_shuffle"))
     code, out = _run(capsys, ["shuffle", "phi", "--script", s])
@@ -138,6 +161,24 @@ def test_shuffle_reads_the_script_graph_once(command, tmp_path, capsys, monkeypa
     monkeypatch.setattr(tg, "validate_graph", lambda data: reads.append(1) or validate(data))
     code, _ = _run(capsys, ["shuffle", command, "--script", s])
     assert code == 0 and len(reads) == 1
+
+
+def test_shuffle_apply_builds_the_abel_map_once(tmp_path, capsys, monkeypatch):
+    """A k-fold shuffle permutes a family: its profile and its Abel shift share one map."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+    import bench_inputs
+
+    s = _write(tmp_path, "s.json", bench_inputs.shuffle_script(2))
+    builds = []
+    build = moves.discrete_abel_map
+    monkeypatch.setattr(moves, "discrete_abel_map", lambda g, v=None: builds.append(v) or build(g, v))
+    code, out = _run(capsys, ["shuffle", "apply", "--script", s])
+    assert code == 0 and len(builds) == 1
+    # the same bytes when the Abel shift builds its own map
+    profile = moves._profile_from_fates
+    monkeypatch.setattr(moves, "_profile_from_fates", lambda *args: (profile(*args)[0], None))
+    code, rebuilt = _run(capsys, ["shuffle", "apply", "--script", s])
+    assert code == 0 and len(builds) == 3 and rebuilt == out
 
 
 def test_input_error_exit_code(tmp_path, capsys):

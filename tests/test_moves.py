@@ -1,5 +1,6 @@
 """Elementary transformations, move sequences, and the translation profile."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -102,6 +103,18 @@ def test_contract_requires_two_valent():
             moves.expand_vertex(g, tg.all_ones_weights(g), missing, [], [])
 
 
+def _contract_white(g, weights, v, tag):
+    if g.color(v) != tg.WHITE:
+        raise moves.NotTwoValent("%s is not white" % v)
+    return moves.contract_vertex(g, weights, v, tag)
+
+
+def _contract_black(g, weights, v, tag):
+    if g.color(v) != tg.BLACK:
+        raise moves.NotTwoValent("%s is not black" % v)
+    return moves.contract_vertex(g, weights, v, tag)
+
+
 def _weight_class_fingerprint(g, w):
     """Face variables plus zig-zag monodromies, tagged by invariant data.
 
@@ -140,10 +153,10 @@ def test_expand_black_gives_white_middle():
     out = moves.expand_vertex(g, w, "b0,0", ["h0,0", "v0,0"], ["h1,0", "v0,1"], tag="x")
     assert out.graph.color("xv") == tg.WHITE
     assert _weight_class_fingerprint(out.graph, out.weights) == fp0
-    back = moves.contract_white(out.graph, out.weights, "xv", tag="c")
+    back = _contract_white(out.graph, out.weights, "xv", tag="c")
     assert _weight_class_fingerprint(back.graph, back.weights) == fp0
     with pytest.raises(moves.NotTwoValent):
-        moves.contract_black(out.graph, out.weights, "xv", tag="c2")
+        _contract_black(out.graph, out.weights, "xv", tag="c2")
 
 
 def test_expand_requires_partition():
@@ -416,10 +429,10 @@ def test_involution_with_twisted_closing_is_torsion():
     assert not moves.is_trivial(res)
     b = [list(r) for r in build_j(res.polygon).matrix]
     doubled = [2 * res.profile.per_edge[r] for r in range(4)]
-    assert intlin.in_image(doubled, b)
+    assert not any(intlin.reduce_mod_image(doubled, b))
 
 
-def test_refined_lattice_shuffle_with_permuting_families():
+def test_refined_lattice_shuffle_with_permuting_families(monkeypatch):
     # one shuffle step on the 4x4 lattice: spider every even face, contract
     # the sixteen 2-valent vertices; the two strands of each moved family
     # swap, so the strip offsets are half-integers summing to integers
@@ -460,6 +473,17 @@ def test_refined_lattice_shuffle_with_permuting_families():
     assert not moves.is_trivial(res)
     shift = moves.abel_shift(res)
     assert sum(shift.values()) == 0 and any(shift.values())
+    # the permuted families needed the Abel map; it is kept for the default
+    # base vertex only, and another base vertex gets its own map
+    builds = []
+    build = moves.discrete_abel_map
+    monkeypatch.setattr(moves, "discrete_abel_map", lambda g, v=None: builds.append(v) or build(g, v))
+    whites = sorted(v for v, c in base.vertices.items() if c == tg.WHITE)
+    assert res.abel.base_vertex == whites[0]
+    assert moves.abel_shift(res) == shift and builds == []
+    fresh = dataclasses.replace(res, abel=None)
+    assert moves.abel_shift(res, base_vertex=whites[-1]) == moves.abel_shift(fresh, base_vertex=whites[-1])
+    assert builds == [whites[-1]] * 2
 
 
 def test_translation_on_refined_lattice_families():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dimermod import polygon as poly
+from dimermod import polygon as poly, suites
 
 DIAMOND = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 
@@ -176,6 +176,75 @@ def test_pick_counts_match_enumeration(p):
     interior = [q for q in p.lattice_points() if p.contains(q, strict=True)]
     assert poly.genus(p) == len(interior)
     assert poly.lattice_point_count(p) == len(p.lattice_points())
+    assert p.multiplicities() == [d.multiplicity for d in p.edge_data()]
+
+
+def _interior_by_scan(q):
+    """The interior lattice points of q, by scanning its bounding box."""
+    return [y for y in q.lattice_points() if q.contains(y, strict=True)]
+
+
+def _chord_pieces(p, a, b):
+    """Split p along the chord a-b into its two closed pieces."""
+    ring = p.boundary_lattice_points()
+    ia, ib = ring.index(a), ring.index(b)
+    arc1 = ring[ia : ib + 1] if ia <= ib else ring[ia:] + ring[: ib + 1]
+    arc2 = ring[ib : ia + 1] if ib <= ia else ring[ib:] + ring[: ia + 1]
+    return poly._polygon_from_boundary_chain(arc1), poly._polygon_from_boundary_chain(arc2)
+
+
+def _admissible(piece, count):
+    return poly.lattice_point_count(piece) < count and poly.genus(piece) >= 1
+
+
+def _chords(q):
+    ring = q.boundary_lattice_points()
+    return sorted((min(a, b), max(a, b)) for i, a in enumerate(ring) for b in ring[i + 1 :])
+
+
+def _chord_cut_reference(q, count):
+    """The first admissible chord piece, building and validating every candidate.
+
+    A chord along one side is rejected by the `NotConvex` its degenerate
+    piece raises.
+    """
+    for a, b in _chords(q):
+        try:
+            pieces = _chord_pieces(q, a, b)
+        except poly.PolygonError:
+            continue
+        found = [pc for pc in pieces if _admissible(pc, count)]
+        if found:
+            found.sort(key=lambda c: (poly.lattice_point_count(c), c.vertices))
+            return found[0]
+    return None
+
+
+def _triangle_cut_reference(q, count):
+    """The first admissible triangle, over the interior points the bounding box scan lists."""
+    for y in _interior_by_scan(q):
+        for a, b in _chords(q):
+            try:
+                tri = poly.validate_polygon([a, b, y])
+            except poly.PolygonError:
+                continue
+            if _admissible(tri, count):
+                return tri
+    return None
+
+
+def _find_building_block_reference(p):
+    """The building-block search before cuts were counted by Pick's theorem.
+
+    `find_building_block` must return the same block.
+    """
+    if poly.genus(p) < 1:
+        raise poly.NoInteriorPoint("polygon has no interior lattice point")
+    q = p
+    while not poly.is_building_block(q):
+        count = poly.lattice_point_count(q)
+        q = _chord_cut_reference(q, count) or _triangle_cut_reference(q, count)
+    return q
 
 
 def _find_building_block_by_enumeration(p):
@@ -185,7 +254,7 @@ def _find_building_block_by_enumeration(p):
         return len(q.lattice_points())
 
     def interior(q):
-        return poly.interior_lattice_points(q)[0]
+        return len(_interior_by_scan(q))
 
     def admissible(piece, n):
         return count(piece) < n and interior(piece) >= 1
@@ -198,7 +267,7 @@ def _find_building_block_by_enumeration(p):
         step = None
         for a, b in chords:
             try:
-                pieces = poly._chord_pieces(q, a, b)
+                pieces = _chord_pieces(q, a, b)
             except poly.PolygonError:
                 continue
             found = sorted((pc for pc in pieces if admissible(pc, n)), key=lambda c: (count(c), c.vertices))
@@ -206,11 +275,7 @@ def _find_building_block_by_enumeration(p):
                 step = found[0]
                 break
         if step is None:
-            cuts = (
-                [a, b, y]
-                for y in poly.interior_lattice_points(q)[1]
-                for a, b in chords
-            )
+            cuts = ([a, b, y] for y in _interior_by_scan(q) for a, b in chords)
             for tri in cuts:
                 try:
                     tri = poly.validate_polygon(tri)
@@ -232,6 +297,79 @@ def test_find_building_block_matches_enumeration_counts():
             continue
         assert poly.find_building_block(p).vertices == _find_building_block_by_enumeration(p).vertices
         done += 1
+
+
+def _building_block_corpus():
+    """Polygons for the differential test: corpus, random hulls, dilates, shears, triangles."""
+    g1, g0 = suites.random_polygon_corpus(0)
+    yield from g1 + g0
+    rng = random.Random(11)
+    for bound in range(3, 41):
+        for _ in range(2):
+            p = poly.random_convex_polygon(rng, bound=bound)
+            yield p
+            if bound <= 12:
+                for f in (2, 3):
+                    yield poly.validate_polygon([(f * x, f * y) for x, y in p.vertices])
+                for m in ([[1, 2], [0, 1]], [[1, 0], [-3, 1]], [[2, -1], [1, 0]]):
+                    yield poly.apply_sl2(p, m)
+    for s in list(range(1, 41)) + list(range(48, 81, 8)):
+        yield poly.validate_polygon([(0, 0), (s, 0), (0, s)])
+    # triangles whose three sides are primitive: no boundary point to cut at
+    for a, b in ((33, 43), (41, 3), (17, 15), (7, 13), (59, 27)):
+        yield poly.validate_polygon([(0, 0), (a, 1), (2, b)])
+
+
+def test_find_building_block_matches_reference():
+    """Counting each cut by Pick's theorem takes the same cuts as building every piece."""
+    for p in _building_block_corpus():
+        if poly.genus(p) < 1:
+            with pytest.raises(poly.NoInteriorPoint):
+                _find_building_block_reference(p)
+            with pytest.raises(poly.NoInteriorPoint):
+                poly.find_building_block(p)
+            continue
+        assert poly.find_building_block(p).vertices == _find_building_block_reference(p).vertices, p
+
+
+def _vertices(piece):
+    return piece and piece.vertices
+
+
+def test_cuts_match_reference():
+    """Each kind of cut alone, also where a chord cut would come first, and under
+    a tighter count than the search passes, so that some find nothing."""
+    rng = random.Random(13)
+    done = 0
+    while done < 60:
+        q = poly.random_convex_polygon(rng, bound=10)
+        if poly.genus(q) < 1:
+            continue
+        ring = q.boundary_lattice_points()
+        for count in (poly.lattice_point_count(q), poly.lattice_point_count(q) - 3):
+            assert _vertices(poly._chord_cut(ring, count)) == _vertices(_chord_cut_reference(q, count))
+            assert _vertices(poly._triangle_cut(q, ring, count)) == _vertices(_triangle_cut_reference(q, count))
+        done += 1
+
+
+# No chord of this triangle is admissible, so the reference scans all 156 thousand
+# points of its bounding box to cut it.
+PRIMITIVE_TRIANGLE = [(0, 0), (397, 1), (2, 391)]
+PRIMITIVE_TRIANGLE_BLOCK = ((0, 0), (1, 194), (2, 391))
+
+
+def test_find_building_block_primitive_triangle():
+    p = poly.validate_polygon(PRIMITIVE_TRIANGLE)
+    assert _find_building_block_reference(p).vertices == PRIMITIVE_TRIANGLE_BLOCK
+    assert poly.find_building_block(p).vertices == PRIMITIVE_TRIANGLE_BLOCK
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(convex_polygons(), thin_triangles(), sheared_polygons()))
+def test_interior_points_by_column_match_enumeration(p):
+    interior = _interior_by_scan(p)
+    assert list(poly._interior_points_by_column(p)) == interior
+    assert poly.interior_lattice_points(p) == (len(interior), interior)
 
 
 def test_polygon_from_edge_vectors():
