@@ -135,7 +135,7 @@ def spider_move(g, weights, face_id, tag="sp"):
     for i in range(4):
         rotations[n_ids[i]] = (quad_ids[i], quad_ids[(i - 1) % 4], leg_ids[i])
 
-    out = TorusGraph(vertices, edges, rotations, parent=g, changed=corners + n_ids)
+    out = TorusGraph(vertices, edges, rotations, parent=g, changed=corners + n_ids, removed=old_edges)
     removed = {(e, s) for e in old_edges for s in (1, -1)}
     return MoveOutcome(graph=out, weights=new_weights, removed_darts=removed, avoid_darts=set())
 
@@ -199,7 +199,7 @@ def contract_vertex(g, weights, v, tag="ct"):
         new_weights[e] = weights[e] * weights[f1]
     rotations[merged] = arc_u + arc_x
 
-    out = TorusGraph(vertices, edges, rotations, parent=g, changed=(merged,))
+    out = TorusGraph(vertices, edges, rotations, parent=g, changed=(merged,), removed=(f1, f2))
     removed = {(e, s) for e in (f1, f2) for s in (1, -1)}
     avoid = {(e, 1 if g.color(x) == WHITE else -1) for e in arc_x}
     return MoveOutcome(graph=out, weights=new_weights, removed_darts=removed, avoid_darts=avoid)
@@ -377,18 +377,18 @@ def _check_script_shape(data):
         raise MoveError("closing key 'translation' is not a pair of integers")
 
 
-def _advance_anchor(g, path, anchor, bad_darts, avoid_darts):
-    """Move the anchor forward along its current path to a safe dart."""
-    darts = path.darts
+def _advance_anchor(g, anchor, cut):
+    """Move the anchor forward along its zig-zag path in g to a dart not in cut."""
+    darts, _ = g.zigzag_orbit(anchor.dart)
     i = darts.index(anchor.dart)
     translate = anchor.translate
     for _ in range(len(darts)):
         d = darts[i]
-        if d not in bad_darts and d not in avoid_darts:
+        if d not in cut:
             return Anchor(dart=d, translate=translate)
         translate = poly.vadd(translate, g.dart_disp(d))
         i = (i + 1) % len(darts)
-    raise StrandMatchAmbiguous("no surviving dart on path %s" % path.id)
+    raise StrandMatchAmbiguous("no surviving dart on path %s" % g.zigzag_of_dart(anchor.dart))
 
 
 def _apply_move(g, weights, move, tag):
@@ -465,32 +465,53 @@ def run_sequence(script, weights, base=None):
     if any(w == 0 for w in weights.values()):
         raise MoveError("weights must be nonzero")
     base_poly, labels = newton_polygon(base)
+    g, w, anchors = _track_strands(base, weights, script.moves)
+    return _close(script.closing, base, base_poly, labels, g, w, anchors)
+
+
+def _track_strands(base, weights, script_moves):
+    """Apply the moves; return the last graph, its weights and each base strand's anchor.
+
+    Only the anchors whose dart a move removes or avoids are advanced, found
+    through a dart -> strand map.  Only a zig-zag path the move traced again
+    can carry two anchors or a new homology class, so only those are
+    checked, strand by strand in the order of the base paths, so that the
+    first error is the one a check of every strand would meet first.
+    """
+    strands = [z.id for z in base.zigzags()]
     anchors = {z.id: Anchor(dart=z.darts[0], translate=(0, 0)) for z in base.zigzags()}
     strand_class = {z.id: z.homology for z in base.zigzags()}
-
+    strand_at = {a.dart: i for i, a in enumerate(anchors.values())}
     g, w = base, dict(weights)
-    for i, move in enumerate(script.moves):
-        current = {zid: g.zigzag_by_id(g.zigzag_of_dart(a.dart)) for zid, a in anchors.items()}
+    for i, move in enumerate(script_moves):
         outcome = _apply_move(g, w, move, tag="m%d" % i)
-        for zid, a in anchors.items():
-            anchors[zid] = _advance_anchor(
-                g, current[zid], a, outcome.removed_darts, outcome.avoid_darts
-            )
+        cut = outcome.removed_darts | outcome.avoid_darts
+        for n in sorted(strand_at.pop(d) for d in cut if d in strand_at):
+            a = anchors[strands[n]] = _advance_anchor(g, anchors[strands[n]], cut)
+            strand_at[a.dart] = n
         g, w = outcome.graph, outcome.weights
+        met = []
+        for k in g.traced_zigzags:
+            darts, homology = g.zigzag_orbit(k)
+            met += [(strand_at[d], k, homology) for d in darts if d in strand_at]
         seen = {}
-        for zid, a in anchors.items():
-            pid = g.zigzag_of_dart(a.dart)
-            if pid in seen:
+        for n, k, homology in sorted(met):
+            zid = strands[n]
+            if k in seen:
                 raise StrandMatchAmbiguous(
-                    "strands %s and %s merged after move %d" % (seen[pid], zid, i)
+                    "strands %s and %s merged after move %d" % (seen[k], zid, i)
                 )
-            seen[pid] = zid
-            if g.zigzag_by_id(pid).homology != strand_class[zid]:
+            seen[k] = zid
+            if homology != strand_class[zid]:
                 raise StrandMatchAmbiguous(
                     "strand %s changed homology class after move %d" % (zid, i)
                 )
+    return g, w, anchors
 
-    vmap, emap, kappa = _check_closing(g, base, script.closing)
+
+def _close(closing, base, base_poly, labels, g, w, anchors):
+    """The SequenceResult of strands tracked to g, mapped back onto base by the closing."""
+    vmap, emap, kappa = _check_closing(g, base, closing)
     final_weights = {emap[e]: wt for e, wt in w.items()}
 
     fates = {}
@@ -501,7 +522,7 @@ def run_sequence(script, weights, base=None):
         c = poly.vadd(a.translate, kappa[tail])
         target = base.zigzag_of_dart(mapped)
         tz = base.zigzag_by_id(target)
-        if tz.homology != strand_class[zid]:
+        if tz.homology != base.zigzag_by_id(zid).homology:
             raise ClosingIsomorphismInvalid(
                 "closing maps strand %s onto a different homology class" % zid
             )

@@ -21,6 +21,7 @@ Conventions pinned here and relied on everywhere else:
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,12 +86,20 @@ class ZigZagPath:
         return [e for e, _ in self.darts]
 
 
+def _face_record(fid, darts, total):
+    return Face(fid, darts)
+
+
 class _Orbits:
     """One dart permutation as a step table, with its orbits keyed by their least darts.
 
-    `key` maps each dart to the least dart of its orbit, and `at` maps that
-    dart to the orbit's record (a Face or a ZigZagPath), whose darts start
-    there and whose id is `prefix` followed by the rank of that dart.
+    `key` maps each dart to the least dart of its orbit, `at` maps that dart
+    to the orbit's darts, which start there, and to their total
+    displacement, and `least` lists the least darts in order.  The id of an
+    orbit is `prefix` followed by the rank of its least dart in `least`,
+    found by bisection when a caller asks for it, so tracing a few orbits
+    again renames no other orbit.  `records` holds the records (a Face or a
+    ZigZagPath) made for callers, which belong to this graph's ids only.
     """
 
     def __init__(self, prefix, parent=None):
@@ -98,66 +107,92 @@ class _Orbits:
         self.step = parent.step.copy() if parent else {}
         self.key = parent.key.copy() if parent else {}
         self.at = parent.at.copy() if parent else {}
+        self.least = parent.least.copy() if parent else []
+        self.records = {}
 
-    def of(self, d):
-        return self.at[self.key[d]].id
+    def id_of(self, d):
+        return "%s%d" % (self.prefix, bisect_left(self.least, self.key[d]))
 
-    def update(self, dirty, make):
-        """Trace again every orbit through a dart of dirty, then rank all orbits.
+    def find(self, rid):
+        """The least dart of the orbit whose id is rid, or None if there is none."""
+        n = rid[len(self.prefix):] if isinstance(rid, str) and rid.startswith(self.prefix) else ""
+        if n.isascii() and n.isdigit() and str(int(n)) == n and int(n) < len(self.least):
+            return self.least[int(n)]
+        return None
+
+    def record(self, k, make, rank=None):
+        """The record of the orbit at least dart k: make(id, darts, total displacement), made once."""
+        r = self.records.get(k)
+        if r is None:
+            rid = "%s%d" % (self.prefix, bisect_left(self.least, k) if rank is None else rank)
+            r = self.records[k] = make(rid, *self.at[k])
+        return r
+
+    def all(self, make):
+        """Every record, in order of id."""
+        return tuple(self.record(k, make, i) for i, k in enumerate(self.least))
+
+    def update(self, dirty, edges):
+        """Trace again every orbit through a dart of dirty; return the least darts of the new orbits.
 
         Orbits that meet dirty are dropped; their live darts and those of
         dirty are traced in sorted order, so each new orbit starts at its
-        least dart.  make(id, darts, old) gives the record of an orbit whose
-        id is new, where old is its previous record or None for a new orbit.
-        Returns every record in order of id, and the new ones.
+        least dart.  The total displacement of each new orbit is summed over
+        the displacements of `edges` as it is traced.
         """
-        step, key = self.step, self.key
+        step, key, at, least = self.step, self.key, self.at, self.least
         starts = {d for d in dirty if d in step}
         for k in {key[d] for d in dirty if d in key}:
-            for d in self.at.pop(k).darts:
+            del least[bisect_left(least, k)]
+            for d in at.pop(k)[0]:
                 del key[d]
                 if d in step:
                     starts.add(d)
-        new = {}
+        new = []
         for d0 in sorted(starts):
             if d0 in key:
                 continue
-            cycle = [d0]
-            d = step[d0]
-            while d != d0:
+            cycle = []
+            x = y = 0
+            d = d0
+            while True:
                 cycle.append(d)
+                e, s = d
+                dx, dy = edges[e][2]
+                x, y = (x + dx, y + dy) if s > 0 else (x - dx, y - dy)
                 d = step[d]
+                if d == d0:
+                    break
             key.update(dict.fromkeys(cycle, d0))
-            new[d0] = tuple(cycle)
-            self.at[d0] = None
-        ranked = []
-        for i, k in enumerate(sorted(self.at)):
-            r = self.at[k]
-            rid = "%s%d" % (self.prefix, i)
-            if r is None or r.id != rid:
-                r = self.at[k] = make(rid, new[k] if r is None else r.darts, r)
-            ranked.append(r)
-        return tuple(ranked), [self.at[k] for k in new]
+            at[d0] = (tuple(cycle), (x, y))
+            insort(least, d0)
+            new.append(d0)
+        return new
 
 
 class TorusGraph:
-    """Immutable after construction; faces and zig-zag paths are cached.
+    """Immutable after construction; faces and zig-zag paths are orbits of two dart permutations.
 
-    Faces and zig-zag paths are the orbits of two dart permutations, stored
-    as step tables, and each orbit is keyed by its least dart; ids rank the
-    orbits by that dart.  A local move passes its `parent` graph and the
-    vertices it `changed`, those whose rotation or incident edges are new.
-    Then only the step entries at those vertices are recomputed, and only
-    the orbits through a removed dart, a dart whose step changed or (for
-    zig-zag paths) a dart whose edge changed its displacement are traced
-    again and checked.  Every other orbit carries over, and so do the
-    connectivity, the incidence and `span_index` (the index in H_1 of the
-    span of the cycle classes, None if infinite), which a local move
-    preserves.  The graph copies what it needs and keeps no reference to
-    its parent.
+    Each permutation is stored as a step table, and each orbit is keyed by
+    its least dart; ids rank the orbits by that dart and are made when asked
+    for, as are the Face and ZigZagPath records (the lift positions of a
+    zig-zag path too), once per graph.  A local move passes its `parent`
+    graph, the vertices it `changed` (those whose rotation or incident edges
+    are new) and the edges it `removed`, and hands over the vertex, edge and
+    rotation dicts it built, which the graph keeps.  Then only the step
+    entries at the changed vertices are recomputed, and only the orbits
+    through a removed dart, a dart whose step changed or (for zig-zag paths)
+    a dart whose edge changed its displacement are traced again and checked;
+    `traced_zigzags` lists the least darts of the zig-zag paths so traced.
+    Every other orbit carries over, and so do the connectivity, the
+    incidence and `span_index` (the index in H_1 of the span of the cycle
+    classes, None if infinite), which a local move preserves.  The graph
+    copies its parent's orbit tables and keeps no reference to its parent.
+    So a move costs the copies, which are linear in the graph but cheap,
+    and the zig-zag paths through its disk, which it traces again in full.
     """
 
-    def __init__(self, vertices, edges, rotations, parent=None, changed=()):
+    def __init__(self, vertices, edges, rotations, parent=None, changed=(), removed=()):
         self._face = _Orbits("f", parent and parent._face)
         self._zz = _Orbits("z", parent and parent._zz)
         if parent is None:
@@ -168,17 +203,14 @@ class TorusGraph:
             self.span_index = _span_index(self._check_connected())
             dirty_f, dirty_z = self._set_steps(self.vertices)
         else:
-            # a move hands over tuples, and keeps incidence, connectivity and span
-            self.vertices, self.edges = vertices.copy(), edges.copy()
-            self.rotations = rotations.copy()
+            # a move hands over its new dicts of tuples, and keeps incidence, connectivity and span
+            self.vertices, self.edges, self.rotations = vertices, edges, rotations
             self.span_index = parent.span_index
             dirty_f, dirty_z = self._set_steps(changed)
-            self._forget(parent, changed, dirty_f, dirty_z)
-        self._faces, traced = self._face.update(dirty_f, lambda fid, darts, old: Face(fid, darts))
-        self._check_topology(traced)
-        self._zigzags, _ = self._zz.update(dirty_z, self._zigzag)
-        self._face_by_id = {f.id: f for f in self._faces}
-        self._zigzag_by_id = {z.id: z for z in self._zigzags}
+            self._forget(parent, changed, removed, dirty_f, dirty_z)
+        self._check_topology(self._face.update(dirty_f, self.edges))
+        self.traced_zigzags = self._zz.update(dirty_z, self.edges)
+        self._faces = self._zigzags = None
 
     # -- basic dart algebra -------------------------------------------------
 
@@ -228,17 +260,21 @@ class TorusGraph:
                     moved_z.append(d)
         return moved_f, moved_z
 
-    def _forget(self, parent, changed, dirty_f, dirty_z):
-        """Drop the steps of the edges parent loses, and mark their darts dirty.
+    def _forget(self, parent, changed, removed, dirty_f, dirty_z):
+        """Drop the steps of the removed edges, and mark their darts dirty.
 
         Darts of an edge at a changed vertex whose displacement changed are
-        dirty for zig-zag paths too, whose lift positions they shift.
+        dirty for zig-zag paths too, whose homology and lift positions they
+        shift.  Every edge keeps two step entries in each table, or a
+        removed edge was not named.
         """
-        for e in parent.edges.keys() - self.edges.keys():
+        for e in removed:
             for d in ((e, 1), (e, -1)):
                 del self._face.step[d], self._zz.step[d]
                 dirty_f.append(d)
                 dirty_z.append(d)
+        if len(self._face.step) != 2 * len(self.edges):
+            raise GraphError("a move removed edges it did not name")
         for v in changed:
             for e in self.rotations[v]:
                 old = parent.edges.get(e)
@@ -309,55 +345,58 @@ class TorusGraph:
         return [self.cycle_class(pos, e) for e in nontree]
 
     def _check_topology(self, traced):
-        """Euler's formula, and that each face in traced has zero displacement."""
-        v, e, f = len(self.vertices), len(self.edges), len(self._faces)
+        """Euler's formula, and that each face in traced (least darts) has zero displacement."""
+        v, e, f = len(self.vertices), len(self.edges), len(self._face.least)
         if v - e + f != 0:
             raise EulerMismatch("V-E+F = %d, expected 0 on the torus" % (v - e + f))
-        for face in traced:
-            total = self._lift(face.darts)[-1]
+        for k in traced:
+            total = self._face.at[k][1]
             if total != (0, 0):
-                raise NonContractibleFace("face %s has displacement %r" % (face.id, total))
+                raise NonContractibleFace("face %s has displacement %r" % (self._face.id_of(k), total))
 
-    def _zigzag(self, zid, cycle, old):
-        """The record of a zig-zag path: old under a new id, or a new one with its lift positions."""
-        if old is not None:
-            return ZigZagPath(zid, cycle, old.homology, old.positions)
-        pos = self._lift(cycle)
-        return ZigZagPath(id=zid, darts=cycle, homology=pos.pop(), positions=tuple(pos))
-
-    def _lift(self, darts):
-        """Lift positions of the tails of darts walked in turn from (0, 0), then of the last head."""
+    def _zigzag(self, zid, darts, homology):
+        """The record of a zig-zag path, with the lift positions of its darts' tails from (0, 0)."""
         x = y = 0
-        pos = [(0, 0)]
+        pos = []
         for e, s in darts:
+            pos.append((x, y))
             dx, dy = self.edges[e][2]
             x, y = (x + dx, y + dy) if s > 0 else (x - dx, y - dy)
-            pos.append((x, y))
-        return pos
+        return ZigZagPath(id=zid, darts=darts, homology=homology, positions=tuple(pos))
 
-    # -- cached views ----------------------------------------------------------
+    # -- views, made on demand --------------------------------------------------
 
     def faces(self):
+        if self._faces is None:
+            self._faces = self._face.all(_face_record)
         return self._faces
 
     def face_of_dart(self, d):
-        return self._face.of(d)
+        return self._face.id_of(d)
 
     def face_by_id(self, fid):
-        if fid not in self._face_by_id:
+        k = self._face.find(fid)
+        if k is None:
             raise GraphError("no face %s" % fid)
-        return self._face_by_id[fid]
+        return self._face.record(k, _face_record)
 
     def zigzags(self):
+        if self._zigzags is None:
+            self._zigzags = self._zz.all(self._zigzag)
         return self._zigzags
 
     def zigzag_of_dart(self, d):
-        return self._zz.of(d)
+        return self._zz.id_of(d)
 
     def zigzag_by_id(self, zid):
-        if zid not in self._zigzag_by_id:
+        k = self._zz.find(zid)
+        if k is None:
             raise GraphError("no zig-zag path %s" % zid)
-        return self._zigzag_by_id[zid]
+        return self._zz.record(k, self._zigzag)
+
+    def zigzag_orbit(self, d):
+        """(darts, homology) of the zig-zag path through dart d, its darts from its least one."""
+        return self._zz.at[self._zz.key[d]]
 
     # -- serialization ----------------------------------------------------------
 

@@ -143,6 +143,56 @@ def test_random_move_walks_keep_invariants():
         ) == mono
 
 
+def _advance_anchor_on_path(g, path, anchor, bad_darts, avoid_darts):
+    """The anchor moved forward along its current path to a safe dart, as every anchor once was."""
+    darts = path.darts
+    i = darts.index(anchor.dart)
+    translate = anchor.translate
+    for _ in range(len(darts)):
+        d = darts[i]
+        if d not in bad_darts and d not in avoid_darts:
+            return moves.Anchor(dart=d, translate=translate)
+        translate = poly.vadd(translate, g.dart_disp(d))
+        i = (i + 1) % len(darts)
+    raise moves.StrandMatchAmbiguous("no surviving dart on path %s" % path.id)
+
+
+def track_all_strands(base, weights, script_moves):
+    """Oracle for moves._track_strands: after each move, advance every anchor and check every strand."""
+    anchors = {z.id: moves.Anchor(dart=z.darts[0], translate=(0, 0)) for z in base.zigzags()}
+    strand_class = {z.id: z.homology for z in base.zigzags()}
+    g, w = base, dict(weights)
+    for i, move in enumerate(script_moves):
+        current = {zid: g.zigzag_by_id(g.zigzag_of_dart(a.dart)) for zid, a in anchors.items()}
+        outcome = moves._apply_move(g, w, move, tag="m%d" % i)
+        for zid, a in anchors.items():
+            anchors[zid] = _advance_anchor_on_path(
+                g, current[zid], a, outcome.removed_darts, outcome.avoid_darts
+            )
+        g, w = outcome.graph, outcome.weights
+        seen = {}
+        for zid, a in anchors.items():
+            pid = g.zigzag_of_dart(a.dart)
+            if pid in seen:
+                raise moves.StrandMatchAmbiguous(
+                    "strands %s and %s merged after move %d" % (seen[pid], zid, i)
+                )
+            seen[pid] = zid
+            if g.zigzag_by_id(pid).homology != strand_class[zid]:
+                raise moves.StrandMatchAmbiguous(
+                    "strand %s changed homology class after move %d" % (zid, i)
+                )
+    return g, w, anchors
+
+
+def run_sequence_all_strands(script, weights):
+    """Oracle for moves.run_sequence, tracking strands by track_all_strands."""
+    base = tg.resolve_graph(script.graph)
+    base_poly, labels = tg.newton_polygon(base)
+    g, w, anchors = track_all_strands(base, weights, script.moves)
+    return moves._close(script.closing, base, base_poly, labels, g, w, anchors)
+
+
 def test_random_walk_strand_tracking_stays_bijective():
     for step, g, w, move, out in random_walks(*STRAND_WALK):
         if step == 0:
@@ -152,7 +202,7 @@ def test_random_walk_strand_tracking_stays_bijective():
             zid: g.zigzag_by_id(g.zigzag_of_dart(a.dart)) for zid, a in anchors.items()
         }
         for zid, a in anchors.items():
-            anchors[zid] = moves._advance_anchor(
+            anchors[zid] = _advance_anchor_on_path(
                 g, current[zid], a, out.removed_darts, out.avoid_darts
             )
         g, w = out.graph, out.weights
@@ -165,6 +215,124 @@ def test_random_walk_strand_tracking_stays_bijective():
             assert pid not in seen
             seen.add(pid)
             assert g.zigzag_by_id(pid).homology == classes[zid]
+
+
+def test_strand_tracking_matches_all_strands_on_the_seeded_walk():
+    """The seeded strand walk, replayed with the tags run_sequence gives; compared after every move."""
+    walk = list(random_walks(STRAND_WALK[0], STRAND_WALK[1], STRAND_WALK[2], "m%d"))
+    base, weights = walk[0][1], walk[0][2]
+    script_moves = [move for _, _, _, move, _ in walk]
+    for n in range(1, len(script_moves) + 1):
+        g, w, anchors = moves._track_strands(base, weights, script_moves[:n])
+        g0, w0, anchors0 = track_all_strands(base, weights, script_moves[:n])
+        assert anchors == anchors0 and w == w0
+        assert (g.vertices, g.edges, g.rotations) == (g0.vertices, g0.edges, g0.rotations)
+
+
+def domino_shuffle(k):
+    """The k-fold domino shuffle of square_lattice_k: spider one checkerboard class of faces, then contract every 2-valent vertex.
+
+    Yields (move, outcome) per move, applied with the tags run_sequence gives.
+    """
+    base = tg.catalog("square_lattice" if k == 1 else "square_lattice_%d" % k).graph
+    eps = tg.seed_of(base).epsilon
+    parity, stack = {}, [(base.faces()[0].id, 0)]
+    while stack:
+        f, p = stack.pop()
+        if f not in parity:
+            parity[f] = p
+            stack.extend((h, 1 - p) for h, v in eps[f].items() if v)
+    g, w = base, tg.all_ones_weights(base)
+    i = 0
+    # faces of one class share no edge, so each is still the face of its base darts
+    for f in sorted(f for f, p in parity.items() if p == 0):
+        move = {"spider": g.face_of_dart(base.face_by_id(f).darts[0])}
+        out = moves._apply_move(g, w, move, tag="m%d" % i)
+        yield move, out
+        g, w, i = out.graph, out.weights, i + 1
+    for v in sorted(v for v in g.vertices if len(g.rotations[v]) == 2):
+        move = {"contract": v}
+        out = moves._apply_move(g, w, move, tag="m%d" % i)
+        yield move, out
+        g, w, i = out.graph, out.weights, i + 1
+
+
+def domino_shuffle_script(k):
+    steps = list(domino_shuffle(k))
+    base = tg.catalog("square_lattice" if k == 1 else "square_lattice_%d" % k).graph
+    closing = moves.find_closing_isomorphism(steps[-1][1].graph, base)
+    return moves.MoveScript("square_lattice" if k == 1 else "square_lattice_%d" % k, [m for m, _ in steps], closing)
+
+
+@pytest.mark.parametrize(
+    "script",
+    ["domino_shuffle", "translation_x", "translation_y", 1, 2, 3],
+    ids=lambda s: s if isinstance(s, str) else "shuffle_k%d" % s,
+)
+def test_run_sequence_matches_all_strands(script):
+    """Weights, fates, profile and Abel shift equal those of the all-strands oracle."""
+    if isinstance(script, str):
+        script = moves.load_script(bundled_script(script))
+    else:
+        script = domino_shuffle_script(script)
+    base = tg.resolve_graph(script.graph)
+    weights = tg.random_weights(base, random.Random(5))
+    got, want = moves.run_sequence(script, weights), run_sequence_all_strands(script, weights)
+    assert got.weights == want.weights
+    assert got.fates == want.fates
+    assert got.profile.to_json() == want.profile.to_json()
+    assert moves.abel_shift(got) == moves.abel_shift(want)
+
+
+def _swap_edge_labels(g, weights, pair, tag=None):
+    """Not a move: g with the labels of two edges exchanged, weights and all.
+
+    The graph is isomorphic to g, but darts keep their labels, so an anchor
+    on one of the two edges now lies on the path through the other.
+    """
+    e1, e2 = pair.split()
+    swap = {e1: e2, e2: e1}
+    edges = {swap.get(e, e): ends for e, ends in g.edges.items()}
+    rotations = {v: tuple(swap.get(e, e) for e in r) for v, r in g.rotations.items()}
+    changed = {v for e in (e1, e2) for v in g.edges[e][:2]}
+    out = tg.TorusGraph(dict(g.vertices), edges, rotations, parent=g, changed=changed)
+    w = {swap.get(e, e): x for e, x in weights.items()}
+    return moves.MoveOutcome(graph=out, weights=w, removed_darts=set(), avoid_darts=set())
+
+
+@pytest.mark.parametrize("same_class", [True, False])
+def test_strand_errors_match_all_strands(monkeypatch, same_class):
+    """A rewrite that moves strand a's anchor onto the path of a later strand c fails the same check in both trackers.
+
+    Valid moves keep every strand, so the rewrite is an edge-label swap put
+    in place of the spider move: a's anchor edge, which carries no other
+    anchor, and an edge on c with the sign of that anchor, on no anchor and
+    not on a.
+    """
+    base = tg.catalog("honeycomb_3").graph
+    zs = base.zigzags()
+    anchor_edges = {z.darts[0][0] for z in zs}
+    a, c, e2 = next(
+        (a, c, e)
+        for i, a in enumerate(zs)
+        for c in zs[i + 1:]
+        if (a.homology == c.homology) == same_class
+        and sum(z.darts[0][0] == a.darts[0][0] for z in zs) == 1
+        and a.darts[0][0] not in c.edge_ids()
+        for e, s in c.darts
+        if s == a.darts[0][1] and e not in anchor_edges and e not in a.edge_ids()
+    )
+    if same_class:
+        message = "strands %s and %s merged after move 0" % (a.id, c.id)
+    else:
+        message = "strand %s changed homology class after move 0" % a.id
+    script = moves.MoveScript("honeycomb_3", [{"spider": "%s %s" % (a.darts[0][0], e2)}], {})
+    monkeypatch.setattr(moves, "spider_move", _swap_edge_labels)
+    weights = tg.all_ones_weights(base)
+    for run in (moves.run_sequence, run_sequence_all_strands):
+        with pytest.raises(moves.StrandMatchAmbiguous) as err:
+            run(script, weights)
+        assert str(err.value) == message
 
 
 def _monodromies_one_solve_per_target(g, weights):
@@ -215,22 +383,8 @@ def test_bundled_scripts_match_full_builds(name):
 def test_domino_shuffle_of_refined_lattice_matches_full_builds(k):
     """Spider one checkerboard class of faces, then contract every 2-valent vertex."""
     base = tg.catalog("square_lattice" if k == 1 else "square_lattice_%d" % k).graph
-    eps = tg.seed_of(base).epsilon
-    parity, stack = {}, [(base.faces()[0].id, 0)]
-    while stack:
-        f, p = stack.pop()
-        if f not in parity:
-            parity[f] = p
-            stack.extend((h, 1 - p) for h, v in eps[f].items() if v)
-    g, w = base, tg.all_ones_weights(base)
-    for i, f in enumerate(sorted(f for f, p in parity.items() if p == 0)):
-        # faces of one class share no edge, so each is still the face of its base darts
-        out = moves.spider_move(g, w, g.face_of_dart(base.face_by_id(f).darts[0]), tag="s%d" % i)
-        g, w = out.graph, out.weights
-        _assert_same_as_full_build(g)
-    for i, v in enumerate(sorted(v for v in g.vertices if len(g.rotations[v]) == 2)):
-        out = moves.contract_vertex(g, w, v, tag="c%d" % i)
-        g, w = out.graph, out.weights
+    for _, out in domino_shuffle(k):
+        g = out.graph
         _assert_same_as_full_build(g)
     assert len(g.vertices) == len(base.vertices) and len(g.edges) == len(base.edges)
     assert moves.find_closing_isomorphism(g, base) is not None
@@ -293,3 +447,36 @@ def test_move_keeps_no_reference_to_its_parent(kind):
     gc.collect()
     assert ref() is None
     _assert_same_as_full_build(out.graph)
+
+
+def test_orbit_work_per_move_does_not_grow_with_the_graph(monkeypatch):
+    """Orbits traced and records made per move are bounded by the disk, not the graph.
+
+    Counted over the k = 2 and k = 4 domino shuffles: a move that ranks or
+    rebuilds every orbit again makes the k = 4 maximum larger.
+    """
+    made, per_move = [], []
+    update, apply_move = tg._Orbits.update, moves._apply_move
+
+    def counted_update(self, dirty, edges):
+        new = update(self, dirty, edges)
+        made.extend(new)
+        return new
+
+    def counted_move(*args, **kwargs):
+        before = len(made)
+        out = apply_move(*args, **kwargs)
+        per_move.append(len(made) - before)
+        return out
+
+    monkeypatch.setattr(tg._Orbits, "update", counted_update)
+    monkeypatch.setattr(moves, "_apply_move", counted_move)
+    for name in ("Face", "ZigZagPath"):
+        monkeypatch.setattr(tg, name, lambda *args, cls=getattr(tg, name), **kw: made.append(cls) or cls(*args, **kw))
+    most = {}
+    for k in (2, 4):
+        per_move.clear()
+        for _ in domino_shuffle(k):
+            pass
+        most[k] = max(per_move)
+    assert most[2] == most[4]
