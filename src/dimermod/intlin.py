@@ -79,6 +79,15 @@ class SmithDecomposition:
                 z[i] = c // di
         return mat_vec(self.v, z)
 
+    def kernel_basis(self):
+        """Columns forming a Z-basis of {x : B x = 0}: the columns of V past the rank.
+
+        They extend to a basis of Z^cols because V is unimodular, so the
+        lattice is saturated.
+        """
+        cols = len(self.v)
+        return [[self.v[i][j] for i in range(cols)] for j in range(self.rank(), cols)]
+
 
 @dataclass(frozen=True)
 class FgAbelianGroup:
@@ -213,17 +222,10 @@ def cokernel(b, rows=None):
 
 
 def kernel_basis(b):
-    """Columns forming a Z-basis of {x : B x = 0}; the lattice is saturated.
-
-    With U B V = D, the columns of V past the rank are killed by B, and they
-    extend to a basis of Z^cols because V is unimodular.
-    """
-    rows, cols = mat_shape(b)
-    if cols == 0:
+    """Columns forming a Z-basis of {x : B x = 0} (`SmithDecomposition.kernel_basis`)."""
+    if mat_shape(b)[1] == 0:
         return []
-    snf = smith_normal_form(b)
-    r = snf.rank()
-    return [[snf.v[i][j] for i in range(cols)] for j in range(r, cols)]
+    return smith_normal_form(b).kernel_basis()
 
 
 def solve_integer(b, y):
@@ -276,23 +278,26 @@ def column_hermite(b):
 
 
 def reduce_mod_image(x, b):
-    """Canonical representative of x + column-span(B), as a tuple.
-
-    Reduction is against the column Hermite form, top pivot row first, so two
-    vectors reduce identically iff they differ by an element of the image.
-    """
+    """Canonical representative of x + column-span(B), as a tuple (`reduce_mod_hermite`)."""
     rows, _ = mat_shape(b) if b else (len(x), 0)
     if len(x) != rows and b:
         raise DimensionMismatch("vector length != rows(B)")
-    out = list(x)
     if not b or not b[0]:
-        return tuple(out)
-    h, pivots = column_hermite(b)
+        return tuple(x)
+    return reduce_mod_hermite(x, *column_hermite(b))
+
+
+def reduce_mod_hermite(x, h, pivots):
+    """Canonical representative of x + column-span(H), H in column Hermite form with these pivot rows.
+
+    Reduction is top pivot row first, so two vectors reduce identically iff
+    they differ by an element of the image.
+    """
+    out = list(x)
     for j, r in enumerate(pivots):
-        p = h[r][j]
-        q = out[r] // p
+        q = out[r] // h[r][j]
         if q:
-            for rr in range(rows):
+            for rr in range(len(out)):
                 out[rr] -= q * h[rr][j]
     return tuple(out)
 
@@ -337,13 +342,27 @@ class Elimination:
         return Elimination(self.free, self)
 
     def reduce(self, row):
-        """The row's entries at the free columns after every step so far."""
-        prev = self.start
+        """The row's entries at the free columns after every step so far.
+
+        A step at which the row's entry is 0 only rescales the row by
+        p_k / p_{k-1}; the factors of a run of such steps telescope, so the
+        run is skipped and its pending factor p_k / `prev` is applied by the
+        next step with a nonzero entry, which divides by `prev` instead of
+        p_{k-1}, or at the end.  Each division stays exact, since it gives
+        the entry the unskipped steps would.
+        """
+        prev = last = self.start
         for k, p, top in self.steps:
             x = row[k]
             rest = row[:k] + row[k + 1 :]
-            row = [(a * p - x * u) // prev for a, u in zip(rest, top)]
-            prev = p
+            if x:
+                row = [(a * p - x * u) // prev for a, u in zip(rest, top)]
+                prev = p
+            else:
+                row = rest
+            last = p
+        if prev != last:
+            row = [a * last // prev for a in row]
         return row
 
     def reduce_sum(self, entries):

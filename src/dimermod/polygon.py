@@ -190,9 +190,23 @@ def validate_polygon(vertices):
         vs.reverse()
     elif not all(s > 0 for s in signs):
         raise NotConvex("vertex sequence is not convex")
+    turns = _full_turns([vsub(vs[(i + 1) % n], vs[i]) for i in range(n)])
+    if turns != 1:
+        raise NotConvex("side directions turn %d times around, not once" % turns)
     start = vs.index(min(vs))
     vs = vs[start:] + vs[:start]
     return ConvexIntegralPolygon(tuple(vs))
+
+
+def _full_turns(sides):
+    """How many times side directions that always turn left go once around.
+
+    Each turn is less than a half turn, so the directions pass the positive
+    x-axis once per full turn, each time from the lower half-plane (y < 0,
+    or y = 0 and x < 0) into the upper one.
+    """
+    upper = [s[1] > 0 or (s[1] == 0 and s[0] > 0) for s in sides]
+    return sum(1 for i in range(len(sides)) if not upper[i - 1] and upper[i])
 
 
 def polygon_from_edge_vectors(vectors):

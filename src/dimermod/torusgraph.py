@@ -513,7 +513,8 @@ def check_minimality(g):
     m = q_a + s*h_a - q_b - t*h_b for lift shifts s, t (q: lift of the edge's
     white end), at index i + s*|A| along A0 and j + t*|B| along B + m.  Pairs
     of lifts up to deck translation are the classes of m modulo <h_a, h_b>,
-    and m is the canonical representative of its class.
+    and m is the canonical representative of its class.  The lattice, its
+    Hermite form and its Smith decomposition are taken once per pair of paths.
     """
     zigzags = g.zigzags()
     for z in zigzags:
@@ -530,13 +531,18 @@ def check_minimality(g):
     for k, z in enumerate(zigzags):
         for i, (d, p) in enumerate(zip(z.darts, z.positions)):
             at[d] = (k, i, p if d[1] > 0 else poly.vadd(p, g.dart_disp(d)))
+    lattices = {}  # (a, b) -> Hermite form and Smith decomposition of <h_a, h_b>
     classes = {}
     for e in g.edges:
         (a, i, qa), (b, j, qb) = sorted((at[(e, 1)], at[(e, -1)]))
         za, zb = zigzags[a], zigzags[b]
-        lattice, c = _lift_lattice(za, zb), poly.vsub(qa, qb)
-        m = intlin.reduce_mod_image(c, lattice)
-        st = intlin.solve_integer(lattice, list(poly.vsub(m, c)))
+        if (a, b) not in lattices:
+            lattice = _lift_lattice(za, zb)
+            lattices[a, b] = intlin.column_hermite(lattice), intlin.smith_normal_form(lattice)
+        hermite, snf = lattices[a, b]
+        c = poly.vsub(qa, qb)
+        m = intlin.reduce_mod_hermite(c, *hermite)
+        st = snf.solve(list(poly.vsub(m, c)))
         if st is None:
             raise GraphError("edge %s: lift offset is not in the lattice of its two zig-zag classes" % e)
         s, t = st
@@ -546,7 +552,7 @@ def check_minimality(g):
         period = None
         if poly.cross(za.homology, zb.homology) == 0:
             # parallel paths: shifting A0 by s*h_a and B + m by t*h_b maps the pair of lifts to itself
-            (s, t), = intlin.kernel_basis(_lift_lattice(za, zb))
+            (s, t), = lattices[a, b][1].kernel_basis()
             period = (abs(s) * len(za.darts), (t if s > 0 else -t) * len(zb.darts))
         if _has_parallel_bigon(crossings, period):
             return False, {"kind": "parallel_bigon", "paths": [za.id, zb.id], "offset": list(m)}

@@ -117,6 +117,17 @@ def test_bb_find_genus_zero_exits_2(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", [["polygon", "info"], ["group", "compute"], ["bb", "find"]])
+def test_vertices_winding_twice_exit_2(tmp_path, capsys, command):
+    """Six left turns that go twice around are no polygon: exit 2, no traceback."""
+    star = [[25, -9], [-14, 4], [27, -30], [15, -20], [-30, 11], [-11, -23]]
+    p = _write(tmp_path, "star.json", {"vertices": star})
+    assert cli.main(command + ["--polygon", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "turn 2 times around" in captured.err and "Traceback" not in captured.err
+
+
 def test_bb_find_never_scans_the_bounding_box(tmp_path, capsys, monkeypatch):
     """The triangle cut walks the interior column by column, not the bounding box."""
 

@@ -347,10 +347,24 @@ def _monodromies_one_solve_per_target(g, weights):
     out = []
     for target in ((1, 0), (0, 1)):
         m = Fraction(1)
-        for c, h in zip(intlin.solve_integer(mat, list(target)), hols):
+        for c, h in zip(intlin.smith_normal_form(mat).solve(list(target)), hols):
             m *= h ** c
         out.append(m)
     return tuple(out)
+
+
+def test_minimality_takes_one_lattice_per_zigzag_pair(monkeypatch):
+    """One Hermite form and one Smith form per pair of crossing paths, and the windowed search's answer."""
+    for g in [tg.catalog(n).graph for n in tg.CATALOG_NAMES] + [g for g, _ in walk_graphs()]:
+        check_minimality_against_window(g)
+    g = tg.catalog("square_lattice_4").graph
+    forms = []
+    for name in ("column_hermite", "smith_normal_form"):
+        monkeypatch.setattr(intlin, name, lambda b, f=getattr(intlin, name): forms.append(f) or f(b))
+    assert tg.check_minimality(g) == (True, None)
+    pairs = {tuple(sorted((g.zigzag_of_dart((e, 1)), g.zigzag_of_dart((e, -1))))) for e in g.edges}
+    assert len(pairs) == 64 and len(forms) == 2 * len(pairs)
+    assert len(set(forms)) == 2
 
 
 def test_torus_monodromies_match_one_solve_per_target(monkeypatch):

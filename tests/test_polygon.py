@@ -39,6 +39,29 @@ def test_validate_rejects():
         poly.validate_polygon([(0, 0), (1, 0)])
 
 
+STAR = [[25, -9], [-14, 4], [27, -30], [15, -20], [-30, 11], [-11, -23]]
+
+
+def test_validate_rejects_vertices_winding_twice():
+    """Every turn of the star is a left turn, but its sides go twice around."""
+    for vs in (STAR, STAR[::-1]):
+        with pytest.raises(poly.NotConvex, match="turn 2 times around"):
+            poly.validate_polygon(vs)
+    pentagram = [(2, 0), (-2, 1), (1, -2), (1, 2), (-2, -1)]
+    with pytest.raises(poly.NotConvex, match="turn 2 times around"):
+        poly.validate_polygon(pentagram)
+
+
+def test_validate_accepts_every_rotation_and_reflection_of_a_convex_polygon():
+    """The turn count starts nowhere in particular: any start vertex and either orientation pass."""
+    vs = [(0, 0), (3, -1), (5, 1), (4, 4), (1, 3), (-1, 1)]
+    for i in range(len(vs)):
+        for cyc in (vs[i:] + vs[:i], (vs[i:] + vs[:i])[::-1]):
+            for m in ((1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 1, 0), (0, -1, -1, 0)):
+                image = [(m[0] * x + m[1] * y, m[2] * x + m[3] * y) for x, y in cyc]
+                assert len(poly.validate_polygon(image)) == len(vs)
+
+
 def test_validate_rejects_non_integer_vertices():
     for bad in (2.5, 2.0, True, "2", None):
         with pytest.raises(poly.PolygonError, match="vertex 1"):

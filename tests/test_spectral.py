@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 
-from dimermod import polygon as poly, spectral as sp, torusgraph as tg
+from dimermod import intlin, polygon as poly, spectral as sp, torusgraph as tg
 from dimermod.groups import pair
 from test_fuzz_moves import walk_graphs
 
@@ -329,6 +329,84 @@ def test_staged_det_matches_box_on_walk_graphs():
         for weights in (w, _signed_weights(g, rng)):
             mat = sp.kasteleyn_matrix(g, weights)
             assert sp.laurent_det(mat) == _det_box(mat)
+
+
+def _reduce_every_step(e, row, counts):
+    """Elimination.reduce as it was: every step runs over the whole row, rescale-only ones too.
+
+    Counts the steps in counts[0] and those with a nonzero entry in counts[1].
+    """
+    prev = e.start
+    for k, p, top in e.steps:
+        x = row[k]
+        counts[0] += 1
+        counts[1] += x != 0
+        rest = row[:k] + row[k + 1 :]
+        row = [(a * p - x * u) // prev for a, u in zip(rest, top)]
+        prev = p
+    return row
+
+
+class _CountedRow(list):
+    """A pivot row that counts the steps which read it."""
+
+    reads = 0
+
+    def __iter__(self):
+        _CountedRow.reads += 1
+        return super().__iter__()
+
+
+def _checked_reduce(monkeypatch):
+    """Patch Elimination.reduce to equal _reduce_every_step on every call, and count its steps.
+
+    Returns [steps, steps with a nonzero entry, steps that read their pivot row].
+    """
+    counts = [0, 0, 0]
+    reduce = intlin.Elimination.reduce
+
+    def checked(self, row):
+        want = _reduce_every_step(self, row, counts)
+        steps = self.steps
+        self.steps = tuple((k, p, _CountedRow(top)) for k, p, top in steps)
+        reads = _CountedRow.reads
+        try:
+            got = reduce(self, row)
+        finally:
+            self.steps = steps
+        counts[2] += _CountedRow.reads - reads
+        assert got == want
+        return got
+
+    monkeypatch.setattr(intlin.Elimination, "reduce", checked)
+    return counts
+
+
+def test_reduce_skips_rescale_steps_on_the_matrix_corpus(monkeypatch):
+    """Each reduction equals the every-step one, each determinant the box oracle's, and only steps with a nonzero entry do arithmetic."""
+    counts = _checked_reduce(monkeypatch)
+    rng = random.Random(36)
+    mats = [
+        [_random_row(rng, n, rng.choice(sorted(_ROW_KINDS))) for _ in range(n)]
+        for n in range(7)
+        for _ in range(30)
+    ]
+    for name in ["honeycomb_%d" % k for k in range(2, 6)] + ["square_lattice_2", "square_lattice_3"]:
+        g = tg.catalog(name).graph
+        mats.append(sp.kasteleyn_matrix(g, _signed_weights(g, rng)))
+    mats += [sp.kasteleyn_matrix(g, w) for g, w in walk_graphs()]
+    for mat in mats:
+        assert sp.laurent_det(mat) == _det_box(mat)
+    steps, nonzero, reads = counts
+    assert reads == nonzero < steps
+
+
+def test_reduce_step_count_on_honeycomb_8(monkeypatch):
+    """Of the 5110 steps of the honeycomb_8 determinant (all weights 1), the 2255 with a zero entry do no arithmetic."""
+    counts = _checked_reduce(monkeypatch)
+    g = tg.catalog("honeycomb_8").graph
+    sp.laurent_det(sp.kasteleyn_matrix(g, tg.all_ones_weights(g)))
+    assert counts == [5110, 5110 - 2255, 5110 - 2255]
 
 
 def test_laurent_json_rejects_bad_coefficients():
