@@ -478,10 +478,11 @@ def _track_strands(base, weights, script_moves):
     checked, strand by strand in the order of the base paths, so that the
     first error is the one a check of every strand would meet first.
     """
-    strands = [z.id for z in base.zigzags()]
-    anchors = {z.id: Anchor(dart=z.darts[0], translate=(0, 0)) for z in base.zigzags()}
-    strand_class = {z.id: z.homology for z in base.zigzags()}
-    strand_at = {a.dart: i for i, a in enumerate(anchors.values())}
+    zs = base.zigzags()
+    strands = [z.id for z in zs]
+    anchors = {z.id: Anchor(dart=z.darts[0], translate=(0, 0)) for z in zs}
+    strand_class = {z.id: z.homology for z in zs}
+    strand_at = {z.darts[0]: n for n, z in enumerate(zs)}
     g, w = base, dict(weights)
     for i, move in enumerate(script_moves):
         outcome = _apply_move(g, w, move, tag="m%d" % i)

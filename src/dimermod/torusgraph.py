@@ -111,7 +111,9 @@ class _Orbits:
         self.records = {}
 
     def id_of(self, d):
-        return "%s%d" % (self.prefix, bisect_left(self.least, self.key[d]))
+        k = self.key[d]
+        r = self.records.get(k)
+        return r.id if r is not None else "%s%d" % (self.prefix, bisect_left(self.least, k))
 
     def find(self, rid):
         """The least dart of the orbit whose id is rid, or None if there is none."""

@@ -258,10 +258,11 @@ def domino_shuffle(k):
 
 
 def domino_shuffle_script(k):
+    """The k-fold domino shuffle as a script, closed by search."""
+    name = "square_lattice" if k == 1 else "square_lattice_%d" % k
     steps = list(domino_shuffle(k))
-    base = tg.catalog("square_lattice" if k == 1 else "square_lattice_%d" % k).graph
-    closing = moves.find_closing_isomorphism(steps[-1][1].graph, base)
-    return moves.MoveScript("square_lattice" if k == 1 else "square_lattice_%d" % k, [m for m, _ in steps], closing)
+    closing = moves.find_closing_isomorphism(steps[-1][1].graph, tg.catalog(name).graph)
+    return moves.MoveScript(name, [m for m, _ in steps], closing)
 
 
 @pytest.mark.parametrize(
