@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import intlin
 from .polygon import (
@@ -126,78 +126,55 @@ class TorsionLattice:
 
     def index_over_standard(self):
         """Index [L : H_1(T, Z)], a positive integer."""
-        d = self.basis[0][0] * self.basis[1][1] - self.basis[0][1] * self.basis[1][0]
-        inv = 1 / abs(d)
-        if inv.denominator != 1:
-            raise AssertionError("[L : H_1(T, Z)] = %s is not an integer" % inv)
-        return int(inv)
+        q, (a, b, c, d) = _over_common_denominator((*self.basis[0], *self.basis[1]))
+        det = abs(a * d - b * c)
+        if (q * q) % det:
+            raise AssertionError("[L : H_1(T, Z)] = %s is not an integer" % Fraction(q * q, det))
+        return q * q // det
 
     def contains(self, v):
-        d = self.basis[0][0] * self.basis[1][1] - self.basis[0][1] * self.basis[1][0]
-        a = (Fraction(v[0]) * self.basis[1][1] - Fraction(v[1]) * self.basis[1][0]) / d
-        b = (Fraction(v[1]) * self.basis[0][0] - Fraction(v[0]) * self.basis[0][1]) / d
-        return a.denominator == 1 and b.denominator == 1
+        q, (a, b, c, d, x, y) = _over_common_denominator((*self.basis[0], *self.basis[1], *v))
+        det = a * d - b * c
+        return (x * d - y * c) % det == 0 and (y * a - x * b) % det == 0
 
     def to_json(self):
         return {"basis": [[str(c) for c in v] for v in self.basis]}
 
 
-def _canonical_lattice_basis(gens):
-    """Canonical basis of the rational lattice spanned by two Q^2 generators.
+def _over_common_denominator(values):
+    """(q, [q x for x in values]) for ints and Fractions, q their least common denominator."""
+    q = lcm(*(x.denominator for x in values))
+    return q, [x.numerator * (q // x.denominator) for x in values]
 
-    Scale to integers, bring the generator matrix (columns) to upper
-    triangular column form, and reduce the off-diagonal entry into the
-    symmetric range [-d/2, d/2).  This is the normalization under which the
-    worked example yields ((1, 0), (-1/2, 1/2)).
+
+def _canonical_lattice_basis(cols, den):
+    """Canonical basis of the rational lattice spanned by two vectors col / den.
+
+    The integer columns come upper triangular, ((a, 0), (b, c)) with a, c > 0,
+    over one positive denominator.  Reducing b into the symmetric range
+    [-a/2, a/2), ties to the negative side, makes the basis unique to the
+    lattice.  This is the normalization under which the worked example yields
+    ((1, 0), (-1/2, 1/2)).
     """
-    den = 1
-    for v in gens:
-        for c in v:
-            den = den * c.denominator // gcd(den, c.denominator)
-    cols = [[int(c * den) for c in v] for v in gens]
-    m = [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
-    # zero out m[1][0] by unimodular column ops (swapping Euclid)
-    while m[1][0] != 0:
-        if m[1][1] == 0:
-            m[0][0], m[0][1] = m[0][1], m[0][0]
-            m[1][0], m[1][1] = m[1][1], m[1][0]
-            continue
-        q = m[1][0] // m[1][1]
-        m[0][0] -= q * m[0][1]
-        m[1][0] -= q * m[1][1]
-        m[0][0], m[0][1] = m[0][1], m[0][0]
-        m[1][0], m[1][1] = m[1][1], m[1][0]
-    if m[0][0] < 0:
-        m[0][0], m[1][0] = -m[0][0], -m[1][0]
-    if m[1][1] < 0:
-        m[0][1], m[1][1] = -m[0][1], -m[1][1]
-    a = m[0][0]
-    # symmetric residue, ties to the negative side
-    r = (m[0][1] + a // 2) % a - a // 2 if a else m[0][1]
-    m[0][1] = r
-    return (
-        (Fraction(m[0][0], den), Fraction(m[1][0], den)),
-        (Fraction(m[0][1], den), Fraction(m[1][1], den)),
-    )
+    (a, _), (b, c) = cols
+    b = (b + a // 2) % a - a // 2
+    return ((Fraction(a, den), Fraction(0)), (Fraction(b, den), Fraction(c, den)))
 
 
 def torsion_lattice(p):
     """The lattice L with L / H_1(T, Z) isomorphic to the torsion of A.
 
-    L hat is the saturation of the image of j inside Z^{E_N}; L is its
-    rational preimage under j, returned in the canonical basis.  With
-    U j V = D, L hat is spanned by the columns of U^-1 below the rank, and
-    j maps column i of V divided by d_i onto column i of U^-1, so one
-    decomposition gives the generators.
+    L is {x in Q^2 : j(x) integral}, the dual of the row lattice of j.  With
+    H = ((a, 0), (c, d)) the Hermite basis of that row lattice
+    (`intlin.row_lattice_basis`, one basis vector per column, a, d > 0), the
+    dual basis is (d, 0) / ad and (-c, a) / ad, the rows of adj(H) over
+    det H.  As columns they are already upper triangular, so only the
+    off-diagonal entry is left to reduce.
     """
     if genus(p) < 1:
         raise NoInteriorPoint("torsion lattice needs an interior lattice point")
-    snf = intlin.smith_normal_form(_matrix(build_j(p)))
-    gens = [
-        tuple(Fraction(row[i], d) for row in snf.v)
-        for i, d in enumerate(snf.invariant_factors())
-    ]
-    lat = TorsionLattice(basis=_canonical_lattice_basis(gens))
+    (a, _), (c, d) = intlin.row_lattice_basis(build_j(p).matrix)
+    lat = TorsionLattice(basis=_canonical_lattice_basis(((d, 0), (-c, a)), a * d))
     if not (lat.contains((1, 0)) and lat.contains((0, 1))):
         raise AssertionError("torsion lattice does not contain H_1(T, Z)")
     return lat
@@ -225,15 +202,16 @@ def max_translation_polygon(p, basis=None):
     """
     if basis is None:
         basis = torsion_lattice(p).basis
-    b = _matrix(build_j(p))
+    q, (x1, y1, x2, y2) = _over_common_denominator((*basis[0], *basis[1]))
+    rows = build_j(p).matrix
     imgs = []
-    for vec in basis:
-        img = [sum(Fraction(row[j]) * vec[j] for j in range(2)) for row in b]
-        if any(c.denominator != 1 for c in img):
+    for x, y in ((x1, y1), (x2, y2)):
+        img = [r0 * x + r1 * y for r0, r1 in rows]
+        if any(c % q for c in img):
             raise AssertionError("j(basis) must be integral")
-        imgs.append([int(c) for c in img])
+        imgs.append([c // q for c in img])
     j1, j2 = imgs
-    w_rows = tuple((j2[r], -j1[r]) for r in range(len(b)))
+    w_rows = tuple((j2[r], -j1[r]) for r in range(len(rows)))
     if any(sum(col) != 0 for col in zip(*w_rows)):
         raise AssertionError("w rows must sum to zero")
     poly = polygon_from_edge_vectors(w_rows)

@@ -3,14 +3,17 @@ fraction-free (Bareiss) elimination.
 
 Matrices are lists of rows, rows are lists of Python ints, so every entry is
 arbitrary precision.  Nothing in this module touches floating point.  The
-normal-form routines return the unimodular transforms as well, because
-callers need generators and canonical coset representatives, not just
-invariant factors.
+Smith form returns both unimodular transforms, because the integer solver
+and the kernel read them; the Hermite form is the canonical coset
+representative and, for a matrix of at most two columns, a basis of its row
+lattice, from which `cokernel` reads the invariant factors with no
+transforms at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 
 class DimensionMismatch(ValueError):
@@ -39,9 +42,8 @@ def mat_vec(a, x):
 class SmithDecomposition:
     """U @ B @ V == D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    `cokernel` reads D alone, `solve` reads U and V, `kernel_basis`
-    the columns of V past the rank, and `groups.torsion_lattice` the columns
-    of V below it.
+    `cokernel` reads D alone (for matrices of three or more columns),
+    `solve` reads U and V, and `kernel_basis` the columns of V past the rank.
     """
 
     u: list
@@ -210,15 +212,42 @@ def smith_normal_form(b):
 def cokernel(b, rows=None):
     """Z^rows / column-span(B) in invariant-factor form.
 
-    `rows` lets callers present a map into Z^rows by an empty matrix.
+    `rows` lets callers present a map into Z^rows by an empty matrix.  A
+    matrix of at most two columns is read from a Hermite basis of its row
+    lattice (`row_lattice_basis`), a wider one from its Smith form.
     """
     if rows is None:
         rows = len(b)
     if not b or not b[0]:
         return FgAbelianGroup(rank=rows, torsion=())
-    snf = smith_normal_form(b)
-    torsion = tuple(x for x in snf.invariant_factors() if x >= 2)
-    return FgAbelianGroup(rank=rows - snf.rank(), torsion=torsion)
+    if len(b[0]) <= 2:
+        factors = _determinantal_factors(row_lattice_basis(b))
+    else:
+        factors = smith_normal_form(b).invariant_factors()
+    return FgAbelianGroup(rank=rows - len(factors), torsion=tuple(x for x in factors if x >= 2))
+
+
+def row_lattice_basis(b):
+    """A basis of the row lattice of B, as the columns of the column Hermite form of B^T.
+
+    For B with two columns and rank 2 that is a lower triangular 2 x 2
+    matrix with positive diagonal.
+    """
+    return column_hermite([list(col) for col in zip(*b)])[0]
+
+
+def _determinantal_factors(h):
+    """Invariant factors of a lattice basis of at most two columns (`row_lattice_basis`).
+
+    d1 is the gcd of the entries and d1 d2 the gcd of the 2 x 2 minors,
+    which for a basis is its one minor: the product of its positive pivots.
+    """
+    if not h[0]:
+        return []
+    d1 = gcd(*(x for row in h for x in row))
+    if len(h[0]) == 1:
+        return [d1]
+    return [d1, h[0][0] * h[1][1] // d1]
 
 
 def kernel_basis(b):
@@ -240,40 +269,31 @@ def column_hermite(b):
     every entry to the right of a pivot in its row is zero.  Zero columns are
     dropped.  Returns (H, pivot_rows).
     """
-    rows, cols = mat_shape(b)
-    h = [row[:] for row in b]
+    rows, ncols = mat_shape(b)
+    cols = [list(c) for c in zip(*b)]
 
     lead = 0
     for r in range(rows):
-        if lead >= cols:
+        if lead >= ncols:
             break
-        piv = next((j for j in range(lead, cols) if h[r][j] != 0), None)
+        piv = next((j for j in range(lead, ncols) if cols[j][r] != 0), None)
         if piv is None:
             continue
-        if piv != lead:
-            for rr in range(rows):
-                h[rr][lead], h[rr][piv] = h[rr][piv], h[rr][lead]
-        for j in range(lead + 1, cols):
+        cols[lead], cols[piv] = cols[piv], cols[lead]
+        a = cols[lead]
+        for j in range(lead + 1, ncols):
             # swapping Euclid on columns lead/j against row r
-            while h[r][j] != 0:
-                q = h[r][lead] // h[r][j]
-                for rr in range(rows):
-                    h[rr][lead] -= q * h[rr][j]
-                for rr in range(rows):
-                    h[rr][lead], h[rr][j] = h[rr][j], h[rr][lead]
-        if h[r][lead] < 0:
-            for rr in range(rows):
-                h[rr][lead] = -h[rr][lead]
+            c = cols[j]
+            while c[r] != 0:
+                q = a[r] // c[r]
+                a, c = c, [x - q * y for x, y in zip(a, c)]
+            cols[j] = c
+        cols[lead] = a if a[r] > 0 else [-x for x in a]
         lead += 1
 
-    keep = [j for j in range(cols) if any(h[r][j] != 0 for r in range(rows))]
-    h = [[row[j] for j in keep] for row in h]
-    pivots = []
-    for j in range(len(keep)):
-        r = 0
-        while h[r][j] == 0:
-            r += 1
-        pivots.append(r)
+    keep = [c for c in cols if any(c)]
+    pivots = [next(r for r, x in enumerate(c) if x) for c in keep]
+    h = [list(row) for row in zip(*keep)] if keep else [[] for _ in range(rows)]
     return h, pivots
 
 

@@ -252,6 +252,129 @@ def test_large_triangle_pinned():
     assert pic0_stack_presentation(p).group == res.group
 
 
+# -- the Smith/Fraction path that the Hermite path replaced, kept as an oracle --
+
+
+def _canonical_basis_of_fractions(gens):
+    """The earlier normalization: scale two Q^2 generators to integers,
+    triangularize by swapping Euclid on columns, reduce the off-diagonal entry
+    into [-d/2, d/2)."""
+    den = 1
+    for v in gens:
+        for c in v:
+            den = den * c.denominator // gcd(den, c.denominator)
+    cols = [[int(c * den) for c in v] for v in gens]
+    m = [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
+    while m[1][0] != 0:
+        if m[1][1] == 0:
+            m[0][0], m[0][1] = m[0][1], m[0][0]
+            m[1][0], m[1][1] = m[1][1], m[1][0]
+            continue
+        q = m[1][0] // m[1][1]
+        m[0][0] -= q * m[0][1]
+        m[1][0] -= q * m[1][1]
+        m[0][0], m[0][1] = m[0][1], m[0][0]
+        m[1][0], m[1][1] = m[1][1], m[1][0]
+    if m[0][0] < 0:
+        m[0][0], m[1][0] = -m[0][0], -m[1][0]
+    if m[1][1] < 0:
+        m[0][1], m[1][1] = -m[0][1], -m[1][1]
+    a = m[0][0]
+    m[0][1] = (m[0][1] + a // 2) % a - a // 2 if a else m[0][1]
+    return (
+        (Fraction(m[0][0], den), Fraction(m[1][0], den)),
+        (Fraction(m[0][1], den), Fraction(m[1][1], den)),
+    )
+
+
+def _torsion_basis_by_smith(p):
+    """With U j V = D, column i of V over d_i maps onto the i-th generator of
+    the saturation of j(H_1), so those columns generate L."""
+    snf = intlin.smith_normal_form([list(r) for r in build_j(p).matrix])
+    gens = [tuple(Fraction(row[i], d) for row in snf.v) for i, d in enumerate(snf.invariant_factors())]
+    return _canonical_basis_of_fractions(gens)
+
+
+def _contains_by_fractions(basis, v):
+    d = basis[0][0] * basis[1][1] - basis[0][1] * basis[1][0]
+    a = (Fraction(v[0]) * basis[1][1] - Fraction(v[1]) * basis[1][0]) / d
+    b = (Fraction(v[1]) * basis[0][0] - Fraction(v[0]) * basis[0][1]) / d
+    return a.denominator == 1 and b.denominator == 1
+
+
+def _index_by_fractions(basis):
+    return int(1 / abs(basis[0][0] * basis[1][1] - basis[0][1] * basis[1][0]))
+
+
+def _w_rows_by_fractions(p, basis):
+    imgs = []
+    for vec in basis:
+        img = [sum(Fraction(row[j]) * vec[j] for j in range(2)) for row in build_j(p).matrix]
+        if any(c.denominator != 1 for c in img):
+            raise AssertionError("j(basis) must be integral")
+        imgs.append([int(c) for c in img])
+    j1, j2 = imgs
+    return tuple((j2[r], -j1[r]) for r in range(len(j1)))
+
+
+SL2 = ([[1, 0], [0, 1]], [[0, -1], [1, 0]], [[2, 1], [1, 1]], [[1, -3], [0, 1]], [[-1, 0], [-4, -1]])
+
+
+def _oracle_polygons():
+    """Corpus seeds 0-9 with one SL2 image each, and the pinned s = 3000 triangle."""
+    for seed in range(10):
+        g1, _ = suites.random_polygon_corpus(seed)
+        for i, p in enumerate(g1):
+            yield p
+            yield poly.apply_sl2(p, SL2[i % len(SL2)])
+    yield poly.validate_polygon([(0, 0), (3000, 0), (0, 3000)])
+
+
+def test_torsion_lattice_and_w_rows_match_the_smith_oracle():
+    for p in _oracle_polygons():
+        lat = torsion_lattice(p)
+        assert lat.basis == _torsion_basis_by_smith(p), p.vertices
+        assert lat.index_over_standard() == _index_by_fractions(lat.basis)
+        mt = max_translation_polygon(p)
+        assert mt.basis == lat.basis
+        assert mt.w_rows == _w_rows_by_fractions(p, lat.basis), p.vertices
+
+
+def test_contains_matches_the_fraction_oracle():
+    g1, _ = suites.random_polygon_corpus(1)
+    for p in g1[:60]:
+        lat = torsion_lattice(p)
+        basis = lat.basis
+        q = max(c.denominator for v in basis for c in v)
+        for v in [(1, 0), (0, 1), *basis] + [
+            (Fraction(x, 2 * q), Fraction(y, 2 * q)) for x in range(-2, 3) for y in range(-2, 3)
+        ]:
+            assert lat.contains(v) == _contains_by_fractions(basis, v), (p.vertices, v)
+
+
+def test_max_translation_polygon_with_explicit_basis():
+    # any basis of L gives the oracle's rows; a basis outside L raises in both
+    for seed in range(10):
+        g1, _ = suites.random_polygon_corpus(seed)
+        for p in g1[:20]:
+            g, h = torsion_lattice(p).basis
+            q = max(c.denominator for c in g + h)
+            for basis in (
+                (g, h),
+                ((g[0] + h[0], g[1] + h[1]), h),
+                (h, (-g[0], -g[1])),
+                ((1, 0), (0, 1)),
+            ):
+                mt = max_translation_polygon(p, basis=basis)
+                assert mt.w_rows == _w_rows_by_fractions(p, basis)
+                assert mt.basis == tuple(basis)
+            outside = ((Fraction(1, 2 * q), Fraction(0)), h)
+            with pytest.raises(AssertionError, match="j.basis. must be integral"):
+                _w_rows_by_fractions(p, outside)
+            with pytest.raises(AssertionError, match="j.basis. must be integral"):
+                max_translation_polygon(p, basis=outside)
+
+
 def test_pic0_check_survives_optimize_flag():
     # the agreement check is an explicit raise, so python -O keeps it
     code = (
@@ -268,3 +391,30 @@ def test_pic0_check_survives_optimize_flag():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.startswith("raised: stack presentation")
+
+
+def test_lattice_checks_survive_optimize_flag():
+    # the integrality check of max_translation_polygon and the containment
+    # check of torsion_lattice are explicit raises, so python -O keeps them
+    code = (
+        "from fractions import Fraction\n"
+        "from dimermod import groups, polygon as poly\n"
+        "p = poly.validate_polygon([(1, 0), (0, 1), (-1, 0), (0, -1)])\n"
+        "try:\n"
+        "    groups.max_translation_polygon(p, basis=((Fraction(1, 4), 0), (0, 1)))\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+        "groups.TorsionLattice.contains = lambda self, v: False\n"
+        "try:\n"
+        "    groups.torsion_lattice(p)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(groups.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines() == [
+        "raised: j(basis) must be integral",
+        "raised: torsion lattice does not contain H_1(T, Z)",
+    ]

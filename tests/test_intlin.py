@@ -52,21 +52,80 @@ def test_cokernel_examples():
 
 
 def test_cokernel_invariant_under_unimodular_changes():
+    # 4 x 3 takes the Smith path; 5 x 2 and 4 x 1 the Hermite path of at
+    # most two columns
     rng = random.Random(7)
-    for _ in range(20):
-        b = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(4)]
-        ref = intlin.cokernel(b)
-        # random unimodular row/col operations
-        m = [row[:] for row in b]
-        for _ in range(6):
-            i, j = rng.sample(range(4), 2)
-            q = rng.randint(-3, 3)
-            m[j] = [x + q * y for x, y in zip(m[j], m[i])]
-            i, j = rng.sample(range(3), 2)
-            q = rng.randint(-3, 3)
-            for r in range(4):
-                m[r][j] += q * m[r][i]
-        assert intlin.cokernel(m) == ref
+    for rows, cols in ((4, 3), (5, 2), (4, 1)):
+        for _ in range(20):
+            b = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            ref = intlin.cokernel(b)
+            # random unimodular row/col operations
+            m = [row[:] for row in b]
+            for _ in range(6):
+                i, j = rng.sample(range(rows), 2)
+                q = rng.randint(-3, 3)
+                m[j] = [x + q * y for x, y in zip(m[j], m[i])]
+                if cols == 1:
+                    m = [[-row[0]] for row in m]
+                    continue
+                i, j = rng.sample(range(cols), 2)
+                q = rng.randint(-3, 3)
+                for r in range(rows):
+                    m[r][j] += q * m[r][i]
+            assert intlin.cokernel(m) == ref
+
+
+def _cokernel_by_smith(b):
+    f = intlin.smith_normal_form(b).invariant_factors()
+    return intlin.FgAbelianGroup(rank=len(b) - len(f), torsion=tuple(x for x in f if x >= 2))
+
+
+def _narrow_matrices(rng):
+    """Seeded matrices of one and two columns, of every rank, with zero rows and large entries."""
+    for trial in range(300):
+        cols = 1 + trial % 2
+        rows = rng.randint(1, 7)
+        hi = rng.choice((1, 9, 10**6))
+        b = [[rng.randint(-hi, hi) for _ in range(cols)] for _ in range(rows)]
+        for i in rng.sample(range(rows), rng.randint(0, rows)):
+            b[i] = [0] * cols  # zero rows, down to the zero matrix
+        if cols == 2 and trial % 3 == 0:
+            k = rng.randint(-3, 3)
+            b = [[x, k * x] for x, _ in b]  # parallel columns
+        yield b
+    yield [[0, 0]]
+    yield [[6, -4]]
+    yield [[10**6], [-10**6]]
+    yield [[2 * 10**6, 0], [0, 3 * 10**6], [10**6, 10**6]]
+    yield [[0, 0], [0, 0], [0, 5]]
+    yield [[3, 6], [-2, -4], [5, 10]]
+
+
+def test_cokernel_of_narrow_matrices_matches_smith():
+    # at most two columns, `cokernel` reads d1 = gcd of the entries and
+    # d1 d2 = |det| of the Hermite basis of the row lattice, with no Smith form
+    seen = set()
+    for b in _narrow_matrices(random.Random(17)):
+        want = _cokernel_by_smith(b)
+        assert intlin.cokernel(b) == want, b
+        seen.add((len(b[0]), len(b) - want.rank))
+    assert seen == {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)}
+    assert intlin.cokernel([]) == intlin.FgAbelianGroup(rank=0, torsion=())
+    assert intlin.cokernel([], rows=3) == intlin.FgAbelianGroup(rank=3, torsion=())
+
+
+def test_row_lattice_basis_is_lower_triangular():
+    rng = random.Random(19)
+    for _ in range(50):
+        b = [[rng.randint(-10**6, 10**6) for _ in range(2)] for _ in range(rng.randint(2, 8))]
+        (a, zero), (c, d) = intlin.row_lattice_basis(b)
+        assert zero == 0 and a > 0 and d > 0
+        # every row of B is in the span of the columns, and the covolumes
+        # agree (d1 d2 of the Smith form), so the two lattices are equal
+        for row in b:
+            assert intlin.solve_integer([[a, 0], [c, d]], row) is not None
+        d1, d2 = intlin.smith_normal_form(b).invariant_factors()
+        assert a * d == d1 * d2
 
 
 def test_kernel_basis_sum_zero_lattice():
