@@ -1,13 +1,14 @@
-"""Exact integer linear algebra: Smith/Hermite forms, abelian group data and
+"""Exact integer linear algebra: Hermite forms, abelian group data and
 fraction-free (Bareiss) elimination.
 
 Matrices are lists of rows, rows are lists of Python ints, so every entry is
-arbitrary precision.  Nothing in this module touches floating point.  The
-Smith form returns both unimodular transforms, because the integer solver
-and the kernel read them; the Hermite form is the canonical coset
-representative and, for a matrix of at most two columns, a basis of its row
-lattice, from which `cokernel` reads the invariant factors with no
-transforms at all.
+arbitrary precision.  Nothing in this module touches floating point.  One
+normal form, the column Hermite form (`column_hermite`), answers every
+integer question.  It gives the canonical coset representative.  Stacked
+over the identity it carries its own unimodular transform, from which the
+integer solver and the kernel are read (`stacked_hermite`).  Taken of a
+matrix and its transpose in turn it reaches a diagonal, from which
+`smith_normal_form` reads the invariant factors.
 """
 
 from __future__ import annotations
@@ -24,71 +25,8 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_copy(a):
-    return [row[:] for row in a]
-
-
 def mat_shape(a):
     return len(a), len(a[0]) if a else 0
-
-
-def mat_vec(a, x):
-    if a and len(a[0]) != len(x):
-        raise DimensionMismatch("matrix/vector sizes differ")
-    return [sum(c * v for c, v in zip(row, x)) for row in a]
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U @ B @ V == D with U, V unimodular and D diagonal, d1 | d2 | ...
-
-    `cokernel` reads D alone (for matrices of three or more columns),
-    `solve` reads U and V, and `kernel_basis` the columns of V past the rank.
-    """
-
-    u: list
-    d: list
-    v: list
-
-    def diagonal(self):
-        rows, cols = mat_shape(self.d)
-        return [self.d[i][i] for i in range(min(rows, cols))]
-
-    def rank(self):
-        return sum(1 for x in self.diagonal() if x != 0)
-
-    def invariant_factors(self):
-        return [x for x in self.diagonal() if x != 0]
-
-    def solve(self, y):
-        """An integer x with B x = y, or None if there is none.
-
-        x = V z where D z = U y; every row of that diagonal system is
-        checked, the rows past the rank and past the columns too.
-        """
-        rows, cols = mat_shape(self.d)
-        if len(y) != rows:
-            raise DimensionMismatch("rhs length != rows")
-        z = [0] * cols
-        for i, c in enumerate(mat_vec(self.u, y)):
-            di = self.d[i][i] if i < cols else 0
-            if di == 0:
-                if c != 0:
-                    return None
-            elif c % di != 0:
-                return None
-            else:
-                z[i] = c // di
-        return mat_vec(self.v, z)
-
-    def kernel_basis(self):
-        """Columns forming a Z-basis of {x : B x = 0}: the columns of V past the rank.
-
-        They extend to a basis of Z^cols because V is unimodular, so the
-        lattice is saturated.
-        """
-        cols = len(self.v)
-        return [[self.v[i][j] for i in range(cols)] for j in range(self.rank(), cols)]
 
 
 @dataclass(frozen=True)
@@ -123,108 +61,43 @@ class FgAbelianGroup:
 
 
 def smith_normal_form(b):
-    """Exact Smith normal form with both transforms.
+    """The nonzero invariant factors d1 | d2 | ... of B, from column Hermite forms alone.
 
-    Returns a SmithDecomposition with U*B*V == D, diagonal nonnegative and
-    forming a divisibility chain.  Pivoting always picks the smallest nonzero
-    absolute value (ties by position), so the result is deterministic.
+    A matrix of at most two columns is read off the Hermite basis of its row
+    lattice (`row_lattice_basis`): d1 is the gcd of the basis entries and
+    d1 d2 its one 2 x 2 minor, the product of its positive pivots.  A wider
+    one takes column Hermite forms of B and of the transpose in turn, each a
+    unimodular change, until every column has one nonzero entry
+    (Kannan-Bachem); gcd/lcm steps then make that diagonal a divisibility
+    chain.
     """
-    d = mat_copy(b)
-    rows, cols = mat_shape(d)
-    u, v = identity_matrix(rows), identity_matrix(cols)
-
-    def row_op(i, j, q):
-        # row_j -= q*row_i on D and U
-        d[j] = [x - q * y for x, y in zip(d[j], d[i])]
-        u[j] = [x - q * y for x, y in zip(u[j], u[i])]
-
-    def col_op(i, j, q):
-        # col_j -= q*col_i on D and V
-        for r in range(rows):
-            d[r][j] -= q * d[r][i]
-        for r in range(cols):
-            v[r][j] -= q * v[r][i]
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in range(rows):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def row_negate(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    n = min(rows, cols)
-    for k in range(n):
-        while True:
-            pivot = None
-            best = None
-            for i in range(k, rows):
-                for j in range(k, cols):
-                    x = d[i][j]
-                    if x != 0 and (best is None or abs(x) < best):
-                        best = abs(x)
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            pi, pj = pivot
-            if pi != k:
-                row_swap(k, pi)
-            if pj != k:
-                col_swap(k, pj)
-            if d[k][k] < 0:
-                row_negate(k)
-            done = True
-            for i in range(k + 1, rows):
-                q = d[i][k] // d[k][k]
-                if q:
-                    row_op(k, i, q)
-                if d[i][k]:
-                    done = False
-            for j in range(k + 1, cols):
-                q = d[k][j] // d[k][k]
-                if q:
-                    col_op(k, j, q)
-                if d[k][j]:
-                    done = False
-            if done:
-                # Divisibility repair: fold in any entry the pivot misses.
-                bad = None
-                for i in range(k + 1, rows):
-                    for j in range(k + 1, cols):
-                        if d[i][j] % d[k][k] != 0:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                row_op(bad, k, -1)
-
-    return SmithDecomposition(u=u, d=d, v=v)
+    if not b or not b[0]:
+        return []
+    if len(b[0]) <= 2:
+        h = row_lattice_basis(b)
+        if not h[0]:
+            return []
+        d1 = gcd(*(x for row in h for x in row))
+        return [d1] if len(h[0]) == 1 else [d1, h[0][0] * h[1][1] // d1]
+    h, pivots = column_hermite(b)
+    while sum(1 for row in h for x in row if x) > len(pivots):
+        h, pivots = column_hermite([list(col) for col in zip(*h)])
+    d = [h[r][j] for j, r in enumerate(pivots)]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d
 
 
 def cokernel(b, rows=None):
-    """Z^rows / column-span(B) in invariant-factor form.
+    """Z^rows / column-span(B) in invariant-factor form (`smith_normal_form`).
 
-    `rows` lets callers present a map into Z^rows by an empty matrix.  A
-    matrix of at most two columns is read from a Hermite basis of its row
-    lattice (`row_lattice_basis`), a wider one from its Smith form.
+    `rows` lets callers present a map into Z^rows by an empty matrix.
     """
-    if rows is None:
-        rows = len(b)
-    if not b or not b[0]:
-        return FgAbelianGroup(rank=rows, torsion=())
-    if len(b[0]) <= 2:
-        factors = _determinantal_factors(row_lattice_basis(b))
-    else:
-        factors = smith_normal_form(b).invariant_factors()
-    return FgAbelianGroup(rank=rows - len(factors), torsion=tuple(x for x in factors if x >= 2))
+    factors = smith_normal_form(b)
+    rank = (len(b) if rows is None else rows) - len(factors)
+    return FgAbelianGroup(rank=rank, torsion=tuple(x for x in factors if x >= 2))
 
 
 def row_lattice_basis(b):
@@ -236,30 +109,40 @@ def row_lattice_basis(b):
     return column_hermite([list(col) for col in zip(*b)])[0]
 
 
-def _determinantal_factors(h):
-    """Invariant factors of a lattice basis of at most two columns (`row_lattice_basis`).
+def stacked_hermite(b):
+    """Column Hermite form of B stacked over the identity, as (H, pivot rows in B).
 
-    d1 is the gcd of the entries and d1 d2 the gcd of the 2 x 2 minors,
-    which for a basis is its one minor: the product of its positive pivots.
+    Its columns are (B v, v) for the columns v of one unimodular V.  B's rows
+    come first, so above they are `column_hermite(B)`, pivots and all, and
+    the columns past B's pivots have B v = 0: their lower halves, columns of
+    V, are a saturated basis of the kernel of B.  Reducing (y, 0) against
+    B's pivots (`reduce_mod_hermite`) leaves (y - B x, -x), the canonical
+    representative of y above and, below, an x that reaches it.
     """
-    if not h[0]:
-        return []
-    d1 = gcd(*(x for row in h for x in row))
-    if len(h[0]) == 1:
-        return [d1]
-    return [d1, h[0][0] * h[1][1] // d1]
+    h, pivots = column_hermite(list(b) + identity_matrix(mat_shape(b)[1]))
+    return h, [r for r in pivots if r < len(b)]
 
 
-def kernel_basis(b):
-    """Columns forming a Z-basis of {x : B x = 0} (`SmithDecomposition.kernel_basis`)."""
-    if mat_shape(b)[1] == 0:
-        return []
-    return smith_normal_form(b).kernel_basis()
+def solve_stacked(y, h, pivots):
+    """An integer x with B x = y, or None if there is none, from B's `stacked_hermite` (H, pivots)."""
+    out = reduce_mod_hermite(list(y) + [0] * (len(h) - len(y)), h, pivots)
+    if any(out[: len(y)]):
+        return None
+    return [-x for x in out[len(y) :]]
 
 
 def solve_integer(b, y):
-    """An integer x with B x = y, or None if there is none (`SmithDecomposition.solve`)."""
-    return smith_normal_form(b).solve(y)
+    """An integer x with B x = y, or None if there is none (`solve_stacked`)."""
+    if len(y) != len(b):
+        raise DimensionMismatch("rhs length != rows")
+    return solve_stacked(y, *stacked_hermite(b))
+
+
+def kernel_basis(b):
+    """Columns forming a saturated Z-basis of {x : B x = 0} (`stacked_hermite`)."""
+    rows, cols = mat_shape(b)
+    h, pivots = stacked_hermite(b)
+    return [[h[i][j] for i in range(rows, rows + cols)] for j in range(len(pivots), cols)]
 
 
 def column_hermite(b):
@@ -267,7 +150,9 @@ def column_hermite(b):
 
     Pivot rows strictly increase column by column, pivots are positive, and
     every entry to the right of a pivot in its row is zero.  Zero columns are
-    dropped.  Returns (H, pivot_rows).
+    dropped.  Returns (H, pivot_rows).  A pivot that divides an entry keeps
+    its column, so a pivot column whose pivot divides its whole row is left
+    as it is (up to sign); `smith_normal_form` needs that to terminate.
     """
     rows, ncols = mat_shape(b)
     cols = [list(c) for c in zip(*b)]
@@ -282,11 +167,13 @@ def column_hermite(b):
         cols[lead], cols[piv] = cols[piv], cols[lead]
         a = cols[lead]
         for j in range(lead + 1, ncols):
-            # swapping Euclid on columns lead/j against row r
+            # Euclid on columns lead/j against row r, swapping only on a remainder
             c = cols[j]
             while c[r] != 0:
-                q = a[r] // c[r]
-                a, c = c, [x - q * y for x, y in zip(a, c)]
+                q = c[r] // a[r]
+                c = [x - q * y for x, y in zip(c, a)]
+                if c[r] != 0:
+                    a, c = c, a
             cols[j] = c
         cols[lead] = a if a[r] > 0 else [-x for x in a]
         lead += 1

@@ -515,8 +515,11 @@ def check_minimality(g):
     m = q_a + s*h_a - q_b - t*h_b for lift shifts s, t (q: lift of the edge's
     white end), at index i + s*|A| along A0 and j + t*|B| along B + m.  Pairs
     of lifts up to deck translation are the classes of m modulo <h_a, h_b>,
-    and m is the canonical representative of its class.  The lattice, its
-    Hermite form and its Smith decomposition are taken once per pair of paths.
+    and m is the canonical representative of its class.  One Hermite form of
+    the lattice stacked over the identity is taken per pair of paths
+    (`intlin.stacked_hermite`); reducing (c, 0, 0) by it, c = q_a - q_b,
+    gives (m, s, t) at once, and for parallel paths its kernel column is the
+    period of the pair of lifts.
     """
     zigzags = g.zigzags()
     for z in zigzags:
@@ -533,28 +536,23 @@ def check_minimality(g):
     for k, z in enumerate(zigzags):
         for i, (d, p) in enumerate(zip(z.darts, z.positions)):
             at[d] = (k, i, p if d[1] > 0 else poly.vadd(p, g.dart_disp(d)))
-    lattices = {}  # (a, b) -> Hermite form and Smith decomposition of <h_a, h_b>
+    lattices = {}  # (a, b) -> stacked Hermite form of <h_a, h_b>
     classes = {}
     for e in g.edges:
         (a, i, qa), (b, j, qb) = sorted((at[(e, 1)], at[(e, -1)]))
         za, zb = zigzags[a], zigzags[b]
         if (a, b) not in lattices:
-            lattice = _lift_lattice(za, zb)
-            lattices[a, b] = intlin.column_hermite(lattice), intlin.smith_normal_form(lattice)
-        hermite, snf = lattices[a, b]
-        c = poly.vsub(qa, qb)
-        m = intlin.reduce_mod_hermite(c, *hermite)
-        st = snf.solve(list(poly.vsub(m, c)))
-        if st is None:
-            raise GraphError("edge %s: lift offset is not in the lattice of its two zig-zag classes" % e)
-        s, t = st
-        classes.setdefault((a, b, m), []).append((i + s * len(za.darts), j + t * len(zb.darts)))
+            lattices[a, b] = intlin.stacked_hermite(_lift_lattice(za, zb))
+        m0, m1, s, t = intlin.reduce_mod_hermite((*poly.vsub(qa, qb), 0, 0), *lattices[a, b])
+        classes.setdefault((a, b, (m0, m1)), []).append((i + s * len(za.darts), j + t * len(zb.darts)))
     for (a, b, m), crossings in sorted(classes.items()):
         za, zb = zigzags[a], zigzags[b]
         period = None
         if poly.cross(za.homology, zb.homology) == 0:
-            # parallel paths: shifting A0 by s*h_a and B + m by t*h_b maps the pair of lifts to itself
-            (s, t), = lattices[a, b][1].kernel_basis()
+            # parallel paths: shifting A0 by s*h_a and B + m by t*h_b maps the pair of
+            # lifts to itself, for (s, t) the kernel column of the stacked form
+            h = lattices[a, b][0]
+            s, t = h[2][1], h[3][1]
             period = (abs(s) * len(za.darts), (t if s > 0 else -t) * len(zb.darts))
         if _has_parallel_bigon(crossings, period):
             return False, {"kind": "parallel_bigon", "paths": [za.id, zb.id], "offset": list(m)}
@@ -644,8 +642,8 @@ def torus_monodromies(g, weights):
     """Monodromies along fixed cycles of class (1,0) and (0,1).
 
     The cycles are combinations of spanning-tree fundamental cycles; the integer
-    combinations are solved from one Smith decomposition of their classes, so
-    they are deterministic for a given graph.
+    combinations are solved from one stacked Hermite form of their classes
+    (`intlin.stacked_hermite`), so they are deterministic for a given graph.
     """
     pos, phi, nontree = _weight_potentials(g, weights)
     hols = []
@@ -654,10 +652,10 @@ def torus_monodromies(g, weights):
         b, w, _ = g.edges[e]
         classes.append(g.cycle_class(pos, e))
         hols.append(phi[w] * weights[e] / phi[b])
-    snf = intlin.smith_normal_form([[c[0] for c in classes], [c[1] for c in classes]])
+    form = intlin.stacked_hermite([[c[0] for c in classes], [c[1] for c in classes]])
     out = []
     for target in ((1, 0), (0, 1)):
-        x = snf.solve(list(target))
+        x = intlin.solve_stacked(target, *form)
         if x is None:
             raise GraphError("homology classes of cycles do not span the torus")
         m = Fraction(1)

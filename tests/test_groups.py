@@ -20,6 +20,7 @@ from dimermod.groups import (
     pic0_stack_presentation,
     torsion_lattice,
 )
+from smith_oracle import mat_vec, smith_normal_form as smith_oracle
 
 DIAMOND = poly.validate_polygon([(1, 0), (0, 1), (-1, 0), (0, -1)])
 UNIT_TRIANGLE = poly.validate_polygon([(0, 0), (1, 0), (0, 1)])
@@ -43,7 +44,7 @@ def test_embedding_columns_sum_zero_and_injective():
         p = poly.random_convex_polygon(rng)
         b = [list(r) for r in build_j(p).matrix]
         assert all(sum(col) == 0 for col in zip(*b))
-        assert intlin.smith_normal_form(b).rank() == 2
+        assert len(intlin.smith_normal_form(b)) == 2
 
 
 def test_ambient_quotient():
@@ -100,7 +101,7 @@ def test_torsion_lattice_maps_onto_the_saturation():
     # j(L) is the saturation of j(H_1) in Z^4: (0, -1, 0, 1) = j(-1/2, 1/2)
     # lies in it but not in the image of H_1
     b = [list(r) for r in build_j(DIAMOND).matrix]
-    images = [intlin.mat_vec(b, v) for v in torsion_lattice(DIAMOND).basis]
+    images = [mat_vec(b, v) for v in torsion_lattice(DIAMOND).basis]
     assert images == [[-1, 1, 1, -1], [0, -1, 0, 1]]
     target = [0, -1, 0, 1]
     assert not any(intlin.reduce_mod_image(target, [list(r) for r in zip(*images)]))
@@ -290,7 +291,7 @@ def _canonical_basis_of_fractions(gens):
 def _torsion_basis_by_smith(p):
     """With U j V = D, column i of V over d_i maps onto the i-th generator of
     the saturation of j(H_1), so those columns generate L."""
-    snf = intlin.smith_normal_form([list(r) for r in build_j(p).matrix])
+    snf = smith_oracle([list(r) for r in build_j(p).matrix])
     gens = [tuple(Fraction(row[i], d) for row in snf.v) for i, d in enumerate(snf.invariant_factors())]
     return _canonical_basis_of_fractions(gens)
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from dimermod import intlin
+from smith_oracle import mat_vec, smith_normal_form as smith_oracle
 
 DIAMOND_B = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
 
@@ -18,37 +19,83 @@ def _is_unimodular(a):
     return abs(intlin.det(a)) == 1
 
 
+# With the always-swapping Euclid step, alternating column Hermite forms of
+# this matrix and its transpose cycled between two forms forever.
+CYCLING_T = [[1, -1, 0, -1], [-1, -1, -1, 1]]
+
+
+def _transpose(b):
+    return [list(col) for col in zip(*b)]
+
+
+def _matrices(rng, trials):
+    """Seeded matrices of every shape 1..8 x 1..8 and every rank up to it.
+
+    The rows past the rank are sums of the others with signs, so they are
+    dependent, and every entry stays within 10^9.
+    """
+    for rows, cols in itertools.product(range(1, 9), repeat=2):
+        for _ in range(trials):
+            rank = rng.randint(0, min(rows, cols))
+            hi = rng.choice((1, 9, 10**9)) // max(rank, 1) or 1
+            b = [[rng.randint(-hi, hi) for _ in range(cols)] for _ in range(rank)]
+            for _ in range(rows - rank):
+                signs = [rng.randint(-1, 1) for _ in range(rank)]
+                b.append([sum(s * x for s, x in zip(signs, col)) for col in zip(*b[:rank])] or [0] * cols)
+            rng.shuffle(b)
+            yield b
+
+
 def test_snf_of_worked_matrix():
-    snf = intlin.smith_normal_form(DIAMOND_B)
+    assert intlin.smith_normal_form(DIAMOND_B) == [1, 2]
+    snf = smith_oracle(DIAMOND_B)
     assert snf.diagonal() == [1, 2]
     assert _mat_mul(_mat_mul(snf.u, DIAMOND_B), snf.v) == snf.d
     assert _is_unimodular(snf.u) and _is_unimodular(snf.v)
 
 
 def test_snf_identity():
-    snf = intlin.smith_normal_form(intlin.identity_matrix(3))
-    assert snf.diagonal() == [1, 1, 1]
+    assert intlin.smith_normal_form(intlin.identity_matrix(3)) == [1, 1, 1]
+    assert smith_oracle(intlin.identity_matrix(3)).diagonal() == [1, 1, 1]
 
 
 def test_snf_roundtrip_random():
+    # the oracle's transforms and chain, and `smith_normal_form` against it
     rng = random.Random(42)
-    for trial in range(40):
-        hi = 12 if trial < 5 else 6
-        rows = rng.randint(1, hi)
-        cols = rng.randint(1, hi)
-        b = [[rng.randint(-10**6, 10**6) for _ in range(cols)] for _ in range(rows)]
-        snf = intlin.smith_normal_form(b)
+    large = []
+    for _ in range(5):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        large.append([[rng.randint(-10**6, 10**6) for _ in range(cols)] for _ in range(rows)])
+    ranks = set()
+    for b in itertools.chain(large, _matrices(rng, 3), [CYCLING_T, _transpose(CYCLING_T)]):
+        snf = smith_oracle(b)
         assert _mat_mul(_mat_mul(snf.u, b), snf.v) == snf.d
         diag = snf.invariant_factors()
         assert all(d > 0 for d in diag)
         for a, c in zip(diag, diag[1:]):
             assert c % a == 0
+        assert intlin.smith_normal_form(b) == diag, b
+        ranks.add(len(diag))
+    assert set(range(9)) <= ranks
+    for b in ([], [[]], [[], []]):
+        assert intlin.smith_normal_form(b) == []
+
+
+def test_alternating_hermite_forms_of_cycling_matrix_reach_a_diagonal():
+    h, pivots = intlin.column_hermite(CYCLING_T)
+    for _ in range(4):
+        if sum(1 for row in h for x in row if x) == len(pivots):
+            break
+        h, pivots = intlin.column_hermite(_transpose(h))
+    assert h == [[1, 0], [0, 1]]
 
 
 def test_cokernel_examples():
     assert intlin.cokernel(DIAMOND_B) == intlin.FgAbelianGroup(rank=2, torsion=(2,))
     assert intlin.cokernel([[], [], []]) == intlin.FgAbelianGroup(rank=3, torsion=())
     assert intlin.cokernel([[2, 0], [0, 3]]) == intlin.FgAbelianGroup(rank=0, torsion=(6,))
+    assert intlin.cokernel([[]]) == intlin.FgAbelianGroup(rank=1, torsion=())
+    assert intlin.cokernel([[], []], rows=3) == intlin.FgAbelianGroup(rank=3, torsion=())
 
 
 def test_cokernel_invariant_under_unimodular_changes():
@@ -76,7 +123,7 @@ def test_cokernel_invariant_under_unimodular_changes():
 
 
 def _cokernel_by_smith(b):
-    f = intlin.smith_normal_form(b).invariant_factors()
+    f = smith_oracle(b).invariant_factors()
     return intlin.FgAbelianGroup(rank=len(b) - len(f), torsion=tuple(x for x in f if x >= 2))
 
 
@@ -124,7 +171,7 @@ def test_row_lattice_basis_is_lower_triangular():
         # agree (d1 d2 of the Smith form), so the two lattices are equal
         for row in b:
             assert intlin.solve_integer([[a, 0], [c, d]], row) is not None
-        d1, d2 = intlin.smith_normal_form(b).invariant_factors()
+        d1, d2 = smith_oracle(b).invariant_factors()
         assert a * d == d1 * d2
 
 
@@ -135,7 +182,7 @@ def test_kernel_basis_sum_zero_lattice():
         assert sum(col) == 0
     # saturation: the basis matrix has all invariant factors 1
     mat = [[col[i] for col in basis] for i in range(3)]
-    assert intlin.smith_normal_form(mat).invariant_factors() == [1, 1]
+    assert smith_oracle(mat).invariant_factors() == [1, 1]
 
 
 def test_kernel_of_invertible_is_empty():
@@ -143,17 +190,24 @@ def test_kernel_of_invertible_is_empty():
 
 
 def test_kernel_random_annihilated_and_saturated():
+    # the kernel's rank is the oracle's, cols - rank, and the basis matrix has
+    # every invariant factor 1
     rng = random.Random(3)
+    small = []
     for _ in range(20):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
-        b = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        small.append([[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)])
+    for b in itertools.chain(small, _matrices(rng, 1), [CYCLING_T, _transpose(CYCLING_T)]):
+        cols = len(b[0])
         basis = intlin.kernel_basis(b)
+        assert len(basis) == cols - smith_oracle(b).rank(), b
         for col in basis:
-            assert all(v == 0 for v in intlin.mat_vec(b, col))
+            assert all(v == 0 for v in mat_vec(b, col))
         if basis:
             mat = [[col[i] for col in basis] for i in range(cols)]
-            snf = intlin.smith_normal_form(mat)
-            assert snf.invariant_factors() == [1] * len(basis)
+            assert smith_oracle(mat).invariant_factors() == [1] * len(basis)
+    for b in ([], [[]], [[], []]):
+        assert intlin.kernel_basis(b) == []
 
 
 def test_reduce_mod_image():
@@ -164,7 +218,7 @@ def test_reduce_mod_image():
     for _ in range(30):
         x = [rng.randint(-9, 9) for _ in range(4)]
         c = [rng.randint(-5, 5) for _ in range(2)]
-        shift = intlin.mat_vec(DIAMOND_B, c)
+        shift = mat_vec(DIAMOND_B, c)
         y = [a + b for a, b in zip(x, shift)]
         assert intlin.reduce_mod_image(x, DIAMOND_B) == intlin.reduce_mod_image(y, DIAMOND_B)
 
@@ -186,27 +240,41 @@ def test_solve_integer():
     assert intlin.solve_integer([[0], [0]], [0, 1]) is None
     with pytest.raises(intlin.DimensionMismatch):
         intlin.solve_integer(DIAMOND_B, [1, 0])
+    # matrices with no columns, and with no rows
+    assert intlin.solve_integer([], []) == []
+    assert intlin.solve_integer([[]], [0]) == []
+    assert intlin.solve_integer([[]], [1]) is None
+    assert intlin.solve_integer([[], []], [0, 0]) == []
+    assert intlin.solve_integer([[], []], [0, -2]) is None
+    for b, y in (([], [1]), ([[]], []), ([[], []], [0])):
+        with pytest.raises(intlin.DimensionMismatch):
+            intlin.solve_integer(b, y)
 
 
 def test_solve_integer_random_tall_systems():
-    # consistent right-hand sides B x, and perturbed ones checked against the
-    # Hermite-form membership test, which shares no code with the Smith form
+    # consistent right-hand sides B x, and perturbed ones whose solvability is
+    # the oracle's: the pivoting Smith form, which shares no code with the
+    # Hermite forms
     rng = random.Random(17)
-    misses = 0
+    tall = []
     for _ in range(200):
         cols = rng.randint(1, 3)
         rows = rng.randint(cols + 1, 5)
-        b = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        y = intlin.mat_vec(b, [rng.randint(-5, 5) for _ in range(cols)])
+        tall.append([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
+    misses = 0
+    for b in itertools.chain(tall, _matrices(rng, 1), [CYCLING_T, _transpose(CYCLING_T)]):
+        rows, cols = len(b), len(b[0])
+        y = mat_vec(b, [rng.randint(-5, 5) for _ in range(cols)])
         x = intlin.solve_integer(b, y)
-        assert x is not None and intlin.mat_vec(b, x) == y
+        assert x is not None and mat_vec(b, x) == y
         y[rng.randrange(rows)] += rng.randint(1, 3)
         x = intlin.solve_integer(b, y)
+        assert (x is not None) == (smith_oracle(b).solve(y) is not None), (b, y)
         assert (x is not None) == (not any(intlin.reduce_mod_image(y, b)))
         if x is None:
             misses += 1
         else:
-            assert intlin.mat_vec(b, x) == y
+            assert mat_vec(b, x) == y
     assert misses >= 100
 
 
