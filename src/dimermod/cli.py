@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import DimermodError, moves, polygon as poly, spectral as sp, suites, torusgraph as tg
 from .groups import (
@@ -63,7 +63,48 @@ def _load_weights(path, graph):
 
 
 def _emit(payload):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
+
+
+def _json_text(x, ind="\n"):
+    """x as json.dumps(x, indent=2, sort_keys=True) writes it, after the newline and indentation ind.
+
+    json falls back to its pure-Python encoder when an indent is set.  This
+    writer gives the same text with one call per value: strs and exact ints
+    are written here, a list of scalars is joined in one step, and any other
+    scalar goes through json.dumps.
+    """
+    t = type(x)
+    if t is str:
+        return _quote(x)
+    if t is int:
+        return int.__repr__(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = ind + "  "
+        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(items) + ind + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = ind + "  "
+        items = map(_json_text, x)  # a list of scalars in one join
+        for v in x:
+            if isinstance(v, (dict, list, tuple)):
+                items = [_json_text(v, inner) for v in x]
+                break
+        return "[" + inner + ("," + inner).join(items) + ind + "]"
+    return json.dumps(x)
+
+
+def _json_key(k):
+    """A dict key as json writes it: a str, or the quoted JSON text of None, a bool, an int or a float."""
+    if isinstance(k, str):
+        return _quote(k)
+    if k is None or isinstance(k, (int, float)):
+        return _quote(json.dumps(k))
+    raise TypeError("keys must be str, int, float, bool or None, not %s" % type(k).__name__)
 
 
 def cmd_polygon_info(args):
@@ -210,6 +251,8 @@ def cmd_shuffle_phi(args):
 
 
 def cmd_verify_all(args):
+    import hashlib  # here, its one user, so that no other command loads OpenSSL
+
     names = [args.suite] if args.suite else sorted(suites.SUITES)
     t0 = time.perf_counter()
     failures, timing, by_check = {}, {}, {}
@@ -236,77 +279,52 @@ def cmd_verify_all(args):
     return 0 if not report["failed_assertions"] else 1
 
 
+_POLYGON = (("--polygon", {"required": True}),)
+_GRAPH = (("--graph", {"required": True}),)
+_GRAPH_FILE = (("--graph", {"required": True, "help": "catalog name or JSON file"}),)
+_SPECTRAL = _GRAPH + (("--weights", {}), ("--normalized", {"action": "store_true"}))
+_SCRIPT = (("--script", {"required": True}), ("--weights", {}))
+
+# (command, help, ((sub, handler, options), ...)), in the order `dimermod -h` lists them
+_COMMANDS = (
+    ("polygon", "polygon operations", (("info", cmd_polygon_info, _POLYGON),)),
+    ("group", "group computations from the polygon", (
+        ("compute", cmd_group_compute, _POLYGON),
+        ("torsion-lattice", cmd_group_torsion_lattice, _POLYGON),
+        ("max-translation-polygon", cmd_group_max_translation, _POLYGON),
+        ("pic0", cmd_group_pic0, _POLYGON),
+    )),
+    ("graph", "torus graph operations", (
+        ("check", cmd_graph_check, _GRAPH_FILE),
+        ("newton", cmd_graph_newton, _GRAPH_FILE),
+        ("export", cmd_graph_export, _GRAPH_FILE),
+    )),
+    ("bb", "building block polygons", (("find", cmd_bb_find, _POLYGON),)),
+    ("spectral", "characteristic polynomial", (("poly", cmd_spectral_poly, _SPECTRAL),)),
+    ("abel", "discrete Abel map", (("map", cmd_abel_map, _GRAPH),)),
+    ("shuffle", "move sequences", (("apply", cmd_shuffle_apply, _SCRIPT), ("phi", cmd_shuffle_phi, _SCRIPT))),
+)
+
+
 @functools.cache
 def build_parser():
-    """The argparse tree, built once per process: building it costs more than most commands."""
+    """The argparse tree, built once per process: building it costs more than most commands.
+
+    Its `leaves` map each (command, sub) pair to the parser of that leaf.
+    """
     ap = argparse.ArgumentParser(
         prog="dimermod",
         description="cluster modular groups of dimer integrable systems",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("polygon", help="polygon operations")
-    ps = p.add_subparsers(dest="sub", required=True)
-    c = ps.add_parser("info")
-    c.add_argument("--polygon", required=True)
-    c.set_defaults(func=cmd_polygon_info)
-
-    p = sub.add_parser("group", help="group computations from the polygon")
-    ps = p.add_subparsers(dest="sub", required=True)
-    c = ps.add_parser("compute")
-    c.add_argument("--polygon", required=True)
-    c.set_defaults(func=cmd_group_compute)
-    c = ps.add_parser("torsion-lattice")
-    c.add_argument("--polygon", required=True)
-    c.set_defaults(func=cmd_group_torsion_lattice)
-    c = ps.add_parser("max-translation-polygon")
-    c.add_argument("--polygon", required=True)
-    c.set_defaults(func=cmd_group_max_translation)
-    c = ps.add_parser("pic0")
-    c.add_argument("--polygon", required=True)
-    c.set_defaults(func=cmd_group_pic0)
-
-    p = sub.add_parser("graph", help="torus graph operations")
-    ps = p.add_subparsers(dest="sub", required=True)
-    for name, fn in (
-        ("check", cmd_graph_check),
-        ("newton", cmd_graph_newton),
-        ("export", cmd_graph_export),
-    ):
-        c = ps.add_parser(name)
-        c.add_argument("--graph", required=True, help="catalog name or JSON file")
-        c.set_defaults(func=fn)
-
-    p = sub.add_parser("bb", help="building block polygons")
-    ps = p.add_subparsers(dest="sub", required=True)
-    c = ps.add_parser("find")
-    c.add_argument("--polygon", required=True)
-    c.set_defaults(func=cmd_bb_find)
-
-    p = sub.add_parser("spectral", help="characteristic polynomial")
-    ps = p.add_subparsers(dest="sub", required=True)
-    c = ps.add_parser("poly")
-    c.add_argument("--graph", required=True)
-    c.add_argument("--weights")
-    c.add_argument("--normalized", action="store_true")
-    c.set_defaults(func=cmd_spectral_poly)
-
-    p = sub.add_parser("abel", help="discrete Abel map")
-    ps = p.add_subparsers(dest="sub", required=True)
-    c = ps.add_parser("map")
-    c.add_argument("--graph", required=True)
-    c.set_defaults(func=cmd_abel_map)
-
-    p = sub.add_parser("shuffle", help="move sequences")
-    ps = p.add_subparsers(dest="sub", required=True)
-    c = ps.add_parser("apply")
-    c.add_argument("--script", required=True)
-    c.add_argument("--weights")
-    c.set_defaults(func=cmd_shuffle_apply)
-    c = ps.add_parser("phi")
-    c.add_argument("--script", required=True)
-    c.add_argument("--weights")
-    c.set_defaults(func=cmd_shuffle_phi)
+    ap.leaves = {}
+    for command, about, subs in _COMMANDS:
+        ps = sub.add_parser(command, help=about).add_subparsers(dest="sub", required=True)
+        for name, func, options in subs:
+            c = ap.leaves[command, name] = ps.add_parser(name)
+            for flag, kwargs in options:
+                c.add_argument(flag, **kwargs)
+            c.set_defaults(func=func)
 
     c = sub.add_parser("verify-all", help="run the verification suites")
     c.add_argument("--suite", choices=sorted(suites.SUITES))
@@ -317,8 +335,27 @@ def build_parser():
     return ap
 
 
+def _parse(argv):
+    """The namespace of argv, as build_parser().parse_args(argv) gives it.
+
+    A known (command, sub) pair is parsed by its leaf parser alone, which
+    is what the top parser hands the rest of argv to; leftover arguments go
+    to the top parser's error, as they would from the top.
+    """
+    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    leaf = ap.leaves.get(tuple(argv[:2]))
+    if leaf is None:
+        return ap.parse_args(argv)
+    args, extras = leaf.parse_known_args(argv[2:])
+    if extras:
+        ap.error("unrecognized arguments: %s" % " ".join(extras))
+    args.command, args.sub = argv[:2]
+    return args
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except InputError as exc:

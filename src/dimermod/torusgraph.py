@@ -20,6 +20,7 @@ Conventions pinned here and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
 import json
 from bisect import bisect_left, insort
 from collections import deque
@@ -192,6 +193,10 @@ class TorusGraph:
     copies its parent's orbit tables and keeps no reference to its parent.
     So a move costs the copies, which are linear in the graph but cheap,
     and the zig-zag paths through its disk, which it traces again in full.
+
+    Catalog graphs are shared: `resolve_graph` builds each one once per
+    process and hands the same object to every caller, so no caller may
+    mutate a graph, and a move copies what it changes.
     """
 
     def __init__(self, vertices, edges, rotations, parent=None, changed=(), removed=()):
@@ -844,10 +849,20 @@ def catalog(name):
 CATALOG_NAMES = ("honeycomb", "honeycomb_2", "square_lattice", "square_lattice_2")
 
 
+@functools.lru_cache(maxsize=32)
+def _catalog_graph(name):
+    return catalog(name).graph
+
+
 def resolve_graph(name_or_path):
-    """Catalog name or a JSON file path -> TorusGraph."""
+    """Catalog name or a JSON file path -> TorusGraph.
+
+    A catalog graph is built once per process and the same object is
+    returned to every caller, so no caller may change it; a graph file is
+    read and validated on every call.
+    """
     try:
-        return catalog(name_or_path).graph
+        return _catalog_graph(name_or_path)
     except UnknownCatalogEntry:
         with open(name_or_path) as fh:
             return validate_graph(json.load(fh))

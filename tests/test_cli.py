@@ -5,6 +5,8 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -14,6 +16,7 @@ from dimermod import DimermodError, cli, moves, polygon as poly, spectral as sp,
 from dimermod import suites
 from dimermod.suites import bundled_script
 
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 DIAMOND = {"vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]]}
 
 
@@ -176,7 +179,7 @@ def test_shuffle_reads_the_script_graph_once(command, tmp_path, capsys, monkeypa
 
 def test_shuffle_apply_builds_the_abel_map_once(tmp_path, capsys, monkeypatch):
     """A k-fold shuffle permutes a family: its profile and its Abel shift share one map."""
-    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+    monkeypatch.syspath_prepend(BENCH)
     import bench_inputs
 
     s = _write(tmp_path, "s.json", bench_inputs.shuffle_script(2))
@@ -396,3 +399,157 @@ def test_verify_all_deterministic(capsys):
     assert data["results"]["spectral"] == "pass"
     assert data["failed_assertions"] == []
     assert "timing_ms" not in data
+
+
+# -- the command line: leaf parsers, the JSON writer, shared catalog graphs --------------
+
+
+def _leaf_argvs(tmp_path):
+    """One valid argv per (command, sub) pair, cheap to run."""
+    p = _write(tmp_path, "d.json", DIAMOND)
+    s = _write(tmp_path, "s.json", bundled_script("domino_shuffle"))
+    w = _write(tmp_path, "w.json", {"e0": "2", "e1": "3", "e2": "5/1"})
+    argvs = {("polygon", "info"): ["--polygon", p], ("bb", "find"): ["--polygon", p]}
+    for sub in ("compute", "torsion-lattice", "max-translation-polygon", "pic0"):
+        argvs["group", sub] = ["--polygon", p]
+    for sub in ("check", "newton", "export"):
+        argvs["graph", sub] = ["--graph", "square_lattice"]
+    argvs["spectral", "poly"] = ["--graph", "honeycomb", "--weights", w, "--normalized"]
+    argvs["abel", "map"] = ["--graph", "square_lattice"]
+    for sub in ("apply", "phi"):
+        argvs["shuffle", sub] = ["--script", s]
+    assert sorted(argvs) == sorted(cli.build_parser().leaves)
+    return {pair: list(pair) + rest for pair, rest in argvs.items()}
+
+
+def _outcome(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+def test_leaf_parsing_matches_the_top_parser(tmp_path, capsys, monkeypatch):
+    """stdout, stderr and exit code of each argv equal those of build_parser().parse_args."""
+    p = _write(tmp_path, "d.json", DIAMOND)
+    corpus = [[], ["group"], ["group", "-h"], ["nope"], ["group", "nope"]]
+    corpus += [["--json", "polygon", "info", "--polygon", p], ["verify-all", "--seed", "x"]]
+    corpus += [["verify-all", "-h"], ["verify-all", "--bogus"], ["verify-all", "extra"]]
+    for pair, argv in _leaf_argvs(tmp_path).items():
+        pair = list(pair)
+        corpus += [argv, pair, argv + ["--bogus"], argv + ["extra"], pair + ["--poly", p], pair + ["-h"]]
+    got = [_outcome(capsys, argv) for argv in corpus]
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    want = [_outcome(capsys, argv) for argv in corpus]
+    for argv, a, b in zip(corpus, got, want):
+        assert a == b, argv
+    # the corpus reaches every outcome: success, help, usage errors and the top usage for leftovers
+    codes = [code for _, _, code in got]
+    assert 0 in codes and ("SystemExit", 0) in codes and ("SystemExit", 2) in codes
+    top_usage = [err for _, err, _ in got if err.startswith("usage: dimermod [-h]")]
+    assert any("unrecognized arguments: extra" in err for err in top_usage)
+
+
+def _json_reference(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_writes_what_json_dumps_writes_for_every_command(tmp_path, capsys, monkeypatch):
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload: payloads.append(payload) or emit(payload))
+    argvs = list(_leaf_argvs(tmp_path).values())
+    argvs += [["verify-all", "--suite", "spectral"], ["verify-all", "--suite", "spectral", "--timing"]]
+    for argv in argvs:
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out == _json_reference(payloads[-1]), argv
+    assert len(payloads) == 15
+
+
+_TEXT = st.text(st.sampled_from('ab"\\/\x00\x1f\x7fé \U0001f600 \n\t'), max_size=6)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**999, max_value=10**1000 - 1).map(lambda n: n * (-1) ** (n % 2))
+    | st.floats()
+    | _TEXT
+)
+
+
+def _nested(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, children, max_size=4)
+        | st.dictionaries(st.integers() | st.booleans() | st.floats(allow_nan=False), children, max_size=3)
+        | st.dictionaries(st.none(), children, max_size=1)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_SCALARS, _nested, max_leaves=30))
+def test_emit_matches_json_dumps(payload):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(payload)
+    assert out.getvalue() == _json_reference(payload)
+
+
+def test_emit_refuses_keys_json_refuses():
+    with pytest.raises(TypeError, match="not tuple"):
+        json.dumps({(1, 2): 0}, indent=2)
+    with pytest.raises(TypeError, match="not tuple"):
+        cli._emit({(1, 2): 0})
+
+
+def test_catalog_graph_is_built_once_per_process():
+    g = tg.resolve_graph("square_lattice_2")
+    assert tg.resolve_graph("square_lattice_2") is g
+    assert tg.catalog("square_lattice_2").graph is not g
+
+
+def test_graph_file_is_read_on_every_call(tmp_path):
+    path = tmp_path / "g.json"
+    for name in ("honeycomb", "square_lattice"):
+        path.write_text(json.dumps(tg.catalog(name).graph.to_json()))
+        assert tg.resolve_graph(str(path)).to_json() == tg.catalog(name).graph.to_json()
+
+
+def _shuffle_scripts(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    import bench_inputs
+
+    scripts = {name: bundled_script(name) for name in ("domino_shuffle", "translation_x", "translation_y")}
+    scripts["shuffle_k2"] = bench_inputs.shuffle_script(2)
+    return scripts
+
+
+@pytest.mark.parametrize("command", ["apply", "phi"])
+def test_scripts_leave_the_shared_base_graph_unchanged(command, tmp_path, capsys, monkeypatch):
+    """A script run twice in one process gives the same bytes; its cached base is not spent."""
+    for name, script in _shuffle_scripts(monkeypatch).items():
+        s = _write(tmp_path, name + ".json", script)
+        base = tg.resolve_graph(script["graph"])
+        first = _run(capsys, ["shuffle", command, "--script", s])
+        assert first[0] == 0 and _run(capsys, ["shuffle", command, "--script", s]) == first, name
+        assert tg.resolve_graph(script["graph"]) is base
+        fresh = tg.catalog(script["graph"]).graph
+        assert base.to_json() == fresh.to_json(), name
+        assert base.faces() == fresh.faces() and base.zigzags() == fresh.zigzags(), name
+
+
+def test_cli_import_loads_no_openssl_and_every_traced_module(monkeypatch):
+    """`hashlib` waits for verify-all; bench/bench_trace.py finds each module it wraps in sys.modules."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import json, sys, dimermod.cli; print(json.dumps(sorted(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+    loaded = json.loads(run.stdout)
+    assert "hashlib" not in loaded and "_hashlib" not in loaded
+    monkeypatch.syspath_prepend(BENCH)
+    import bench_trace
+
+    wrapped = {"dimermod." + mod for mod, _, _ in bench_trace.SPANS + bench_trace.COUNTERS}
+    assert wrapped <= set(loaded)
