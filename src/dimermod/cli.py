@@ -281,7 +281,7 @@ def cmd_verify_all(args):
 
 _POLYGON = (("--polygon", {"required": True}),)
 _GRAPH = (("--graph", {"required": True}),)
-_GRAPH_FILE = (("--graph", {"required": True, "help": "catalog name or JSON file"}),)
+_GRAPH_HELP = (("--graph", {"required": True, "help": "catalog name or JSON file"}),)
 _SPECTRAL = _GRAPH + (("--weights", {}), ("--normalized", {"action": "store_true"}))
 _SCRIPT = (("--script", {"required": True}), ("--weights", {}))
 
@@ -295,9 +295,9 @@ _COMMANDS = (
         ("pic0", cmd_group_pic0, _POLYGON),
     )),
     ("graph", "torus graph operations", (
-        ("check", cmd_graph_check, _GRAPH_FILE),
-        ("newton", cmd_graph_newton, _GRAPH_FILE),
-        ("export", cmd_graph_export, _GRAPH_FILE),
+        ("check", cmd_graph_check, _GRAPH_HELP),
+        ("newton", cmd_graph_newton, _GRAPH_HELP),
+        ("export", cmd_graph_export, _GRAPH_HELP),
     )),
     ("bb", "building block polygons", (("find", cmd_bb_find, _POLYGON),)),
     ("spectral", "characteristic polynomial", (("poly", cmd_spectral_poly, _SPECTRAL),)),
