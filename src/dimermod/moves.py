@@ -11,7 +11,7 @@ the closing isomorphism.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import DimermodError, intlin, polygon as poly
@@ -21,6 +21,8 @@ from .torusgraph import (
     BLACK,
     WHITE,
     TorusGraph,
+    UnknownCatalogEntry,
+    _catalog_graph,
     is_id_list,
     newton_polygon,
     resolve_graph,
@@ -67,6 +69,43 @@ class MoveOutcome:
     weights: dict
     removed_darts: set
     avoid_darts: set
+    recipe: tuple = None  # set by a move that succeeded: see _push_weights
+
+
+def _push_weights(recipe, w):
+    """Push the edge weights w through one move, in place, by the move's recipe.
+
+    A recipe is what a move does to weights, read off the graph alone:
+    ("spider", face, sides a b c d, legs, new sides) takes out the four
+    sides, gives each leg weight 1 and new side i the weight of side i + 2
+    over Delta = ac + bd; ("contract", f1, f2, arc_u, arc_x) takes out f1 and
+    f2 and scales arc_u by the weight of f2, arc_x by that of f1;
+    ("expand", e1, e2) gives both new edges weight 1.  The moves and the
+    replay of a traced script both come here, so each formula has one home.
+    """
+    kind = recipe[0]
+    if kind == "spider":
+        _, face_id, sides, legs, quads = recipe
+        old = [w[e] for e in sides]
+        delta = old[0] * old[2] + old[1] * old[3]
+        if delta == 0:
+            raise MoveNotApplicable("face %s has Delta = ac + bd = 0" % face_id)
+        for e in sides:
+            del w[e]
+        for i in range(4):
+            w[legs[i]] = Fraction(1)
+            w[quads[i]] = old[(i + 2) % 4] / delta
+    elif kind == "contract":
+        _, f1, f2, arc_u, arc_x = recipe
+        w1, w2 = w.pop(f1), w.pop(f2)
+        for e in arc_u:
+            w[e] = w[e] * w2
+        for e in arc_x:
+            w[e] = w[e] * w1
+    else:
+        _, ea, eb = recipe
+        w[ea] = Fraction(1)
+        w[eb] = Fraction(1)
 
 
 def spider_move(g, weights, face_id, tag="sp"):
@@ -93,9 +132,8 @@ def spider_move(g, weights, face_id, tag="sp"):
     vertices = g.vertices.copy()
     edges = g.edges.copy()
     rotations = g.rotations.copy()
-    new_weights = weights.copy()
     for e in old_edges:
-        del edges[e], new_weights[e]
+        del edges[e]
 
     n_ids, leg_ids, quad_ids = [], [], []
     for i in range(4):
@@ -105,23 +143,21 @@ def spider_move(g, weights, face_id, tag="sp"):
     for i in range(4):
         vertices[n_ids[i]] = WHITE if g.color(corners[i]) == BLACK else BLACK
 
-    delta = weights[old_edges[0]] * weights[old_edges[2]] + weights[old_edges[1]] * weights[old_edges[3]]
-    if delta == 0:
-        raise MoveNotApplicable("face %s has Delta = ac + bd = 0" % face_id)
+    recipe = ("spider", face_id, tuple(old_edges), tuple(leg_ids), tuple(quad_ids))
+    new_weights = weights.copy()
+    _push_weights(recipe, new_weights)
     for i in range(4):
         ci, ni = corners[i], n_ids[i]
         if g.color(ci) == BLACK:
             edges[leg_ids[i]] = (ci, ni, (0, 0))
         else:
             edges[leg_ids[i]] = (ni, ci, (0, 0))
-        new_weights[leg_ids[i]] = Fraction(1)
         na, nb = n_ids[i], n_ids[(i + 1) % 4]
         oa, ob = offsets[i], offsets[(i + 1) % 4]
         if vertices[na] == BLACK:
             edges[quad_ids[i]] = (na, nb, poly.vsub(oa, ob))
         else:
             edges[quad_ids[i]] = (nb, na, poly.vsub(ob, oa))
-        new_weights[quad_ids[i]] = weights[old_edges[(i + 2) % 4]] / delta
 
     for i in range(4):
         ci = corners[i]
@@ -137,7 +173,9 @@ def spider_move(g, weights, face_id, tag="sp"):
 
     out = TorusGraph(vertices, edges, rotations, parent=g, changed=corners + n_ids, removed=old_edges)
     removed = {(e, s) for e in old_edges for s in (1, -1)}
-    return MoveOutcome(graph=out, weights=new_weights, removed_darts=removed, avoid_darts=set())
+    return MoveOutcome(
+        graph=out, weights=new_weights, removed_darts=removed, avoid_darts=set(), recipe=recipe
+    )
 
 
 def _rotation(g, v, move):
@@ -186,23 +224,25 @@ def contract_vertex(g, weights, v, tag="ct"):
     # are rescaled by the weight of the opposite deleted edge
     arc_u, arc_x = arc_after(u, f1), arc_after(x, f2)
     edges = g.edges.copy()
-    new_weights = weights.copy()
     for e in (f1, f2):
-        del edges[e], new_weights[e]
+        del edges[e]
     for e in arc_u:
         b, w, d = edges[e]
         edges[e] = (merged, w, d) if b == u else (b, merged, d)
-        new_weights[e] = weights[e] * weights[f2]
     for e in arc_x:
         b, w, d = edges[e]
         edges[e] = (merged, w, poly.vsub(d, shift)) if b == x else (b, merged, poly.vadd(d, shift))
-        new_weights[e] = weights[e] * weights[f1]
     rotations[merged] = arc_u + arc_x
+    recipe = ("contract", f1, f2, arc_u, arc_x)
+    new_weights = weights.copy()
+    _push_weights(recipe, new_weights)
 
     out = TorusGraph(vertices, edges, rotations, parent=g, changed=(merged,), removed=(f1, f2))
     removed = {(e, s) for e in (f1, f2) for s in (1, -1)}
     avoid = {(e, 1 if g.color(x) == WHITE else -1) for e in arc_x}
-    return MoveOutcome(graph=out, weights=new_weights, removed_darts=removed, avoid_darts=avoid)
+    return MoveOutcome(
+        graph=out, weights=new_weights, removed_darts=removed, avoid_darts=avoid, recipe=recipe
+    )
 
 
 def expand_vertex(g, weights, v, first, second, tag="ex"):
@@ -243,11 +283,13 @@ def expand_vertex(g, weights, v, first, second, tag="ex"):
     rotations[vb] = tuple([eb] + list(second))
     rotations[mid] = (ea, eb)
 
+    recipe = ("expand", ea, eb)
     new_weights = weights.copy()
-    new_weights[ea] = Fraction(1)
-    new_weights[eb] = Fraction(1)
+    _push_weights(recipe, new_weights)
     out = TorusGraph(vertices, edges, rotations, parent=g, changed=(va, vb, mid))
-    return MoveOutcome(graph=out, weights=new_weights, removed_darts=set(), avoid_darts=set())
+    return MoveOutcome(
+        graph=out, weights=new_weights, removed_darts=set(), avoid_darts=set(), recipe=recipe
+    )
 
 
 def mutate_x(epsilon, face_vars, k):
@@ -295,7 +337,7 @@ class Anchor:
     translate: tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrandFate:
     """Where a base strand ended up after closing: a lift of `target`."""
 
@@ -327,6 +369,7 @@ class SequenceResult:
     fates: dict
     genus: int
     abel: object = None  # the base graph's Abel map, when the profile needed it
+    # base_graph, polygon and abel may be shared with other calls and must not be changed
 
 
 class MoveScript:
@@ -457,6 +500,14 @@ def run_sequence(script, weights, base=None):
     `base` is the script's graph when the caller has already loaded it.
     Returns the translation profile: per-strand strip offsets, their family
     sums g(E_rho), and the canonical reduced class modulo j H_1.
+
+    Of the result, only the final weights depend on the weights; the graphs
+    the script passes through, the strand fates, the profile and the Abel
+    map do not.  So a script over a shared catalog graph is traced once per
+    process (the 32 most recently used are kept), and a later call only
+    pushes its weights through each move's recipe, where Delta = 0 is the
+    one check left to fail.  A script over a graph file is traced on every
+    call, and a one-shot shell call still pays for its trace.
     """
     if base is None:
         base = resolve_graph(script.graph)
@@ -464,13 +515,67 @@ def run_sequence(script, weights, base=None):
         raise MoveError("weights must cover exactly the base edges")
     if any(w == 0 for w in weights.values()):
         raise MoveError("weights must be nonzero")
-    base_poly, labels = newton_polygon(base)
-    g, w, anchors = _track_strands(base, weights, script.moves)
-    return _close(script.closing, base, base_poly, labels, g, w, anchors)
+    key = _trace_key(script, base)
+    trace = _traces.pop(key, None)
+    if trace is None:
+        base_poly, labels = newton_polygon(base)
+        recipes = []
+        g, w, anchors = _track_strands(base, weights, script.moves, recipes)
+        res = _close(script.closing, base, base_poly, labels, g, w, anchors)
+        if key is not None and None not in recipes:
+            edge_map = dict(script.closing["edge_map"])
+            _traces[key] = _Trace(tuple(recipes), edge_map, _with_weights(res, None))
+            if len(_traces) > _TRACES_KEPT:
+                del _traces[next(iter(_traces))]
+        return res
+    _traces[key] = trace  # now the most recently used
+    w = dict(weights)
+    for recipe in trace.recipes:
+        _push_weights(recipe, w)
+    return _with_weights(trace.result, {trace.edge_map[e]: x for e, x in w.items()})
 
 
-def _track_strands(base, weights, script_moves):
+@dataclass(frozen=True)
+class _Trace:
+    """A script's run with the weights left out: each move's recipe and the closing's edge map."""
+
+    recipes: tuple
+    edge_map: dict
+    result: SequenceResult  # with weights None
+
+
+_TRACES_KEPT = 32
+_traces = {}  # (base graph, script text) -> _Trace, least recently used first
+
+
+def _trace_key(script, base):
+    """The trace cache key of a script over the shared catalog graph base; None for any other base."""
+    if not isinstance(script.graph, str):
+        return None
+    try:
+        if _catalog_graph(script.graph) is not base:
+            return None
+    except UnknownCatalogEntry:
+        return None
+    return base, repr((script.moves, script.closing))
+
+
+def _with_weights(res, weights):
+    """res with these final weights and its own labels, profile and fates, which a caller may change."""
+    p = res.profile
+    return replace(
+        res,
+        labels=dict(res.labels),
+        weights=weights,
+        profile=TranslationProfile(dict(p.per_strand), dict(p.per_edge), p.reduced),
+        fates=dict(res.fates),
+    )
+
+
+def _track_strands(base, weights, script_moves, recipes=None):
     """Apply the moves; return the last graph, its weights and each base strand's anchor.
+
+    Each move's weight recipe is appended to `recipes` when it is a list.
 
     Only the anchors whose dart a move removes or avoids are advanced, found
     through a dart -> strand map.  Only a zig-zag path the move traced again
@@ -486,6 +591,8 @@ def _track_strands(base, weights, script_moves):
     g, w = base, dict(weights)
     for i, move in enumerate(script_moves):
         outcome = _apply_move(g, w, move, tag="m%d" % i)
+        if recipes is not None:
+            recipes.append(outcome.recipe)
         cut = outcome.removed_darts | outcome.avoid_darts
         for n in sorted(strand_at.pop(d) for d in cut if d in strand_at):
             a = anchors[strands[n]] = _advance_anchor(g, anchors[strands[n]], cut)

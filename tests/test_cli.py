@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -167,14 +168,76 @@ def test_shuffle_apply_with_weights(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["apply", "phi"])
 def test_shuffle_reads_the_script_graph_once(command, tmp_path, capsys, monkeypatch):
+    """Once per call: a graph file is read, validated and traced on every call, and never kept."""
     script = bundled_script("domino_shuffle")
     script["graph"] = _write(tmp_path, "g.json", tg.resolve_graph(script["graph"]).to_json())
     s = _write(tmp_path, "s.json", script)
-    reads = []
-    validate = tg.validate_graph
+    reads, traced = [], []
+    validate, track = tg.validate_graph, moves._track_strands
     monkeypatch.setattr(tg, "validate_graph", lambda data: reads.append(1) or validate(data))
-    code, _ = _run(capsys, ["shuffle", command, "--script", s])
-    assert code == 0 and len(reads) == 1
+    monkeypatch.setattr(moves, "_track_strands", lambda *args: traced.append(1) or track(*args))
+    monkeypatch.setattr(moves, "_traces", {})
+    outs = []
+    for n in (1, 2):
+        code, out = _run(capsys, ["shuffle", command, "--script", s])
+        outs.append(out)
+        assert code == 0 and len(reads) == n and len(traced) == n and moves._traces == {}
+    assert outs[0] == outs[1]
+
+
+def _run_all(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", ["apply", "phi"])
+def test_shuffle_prints_the_same_on_a_miss_and_a_hit(command, tmp_path, capsys, monkeypatch):
+    """stdout, stderr and exit code of a traced script match its first run, Delta = 0 included."""
+    rng = random.Random(command)
+    monkeypatch.setattr(moves, "_traces", {})
+    for name, script in _shuffle_scripts(monkeypatch).items():
+        s = _write(tmp_path, name + ".json", script)
+        edges = sorted(tg.resolve_graph(script["graph"]).edges)
+        signed = {e: "%d/%d" % (rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for e in edges}
+        weights = [[], ["--weights", _write(tmp_path, "w.json", signed)]]
+        if name == "domino_shuffle":
+            zero = {e: ("-1" if e == "h0,0" else "1") for e in edges}
+            weights.append(["--weights", _write(tmp_path, "zero.json", zero)])
+        for extra in weights:
+            argv = ["shuffle", command, "--script", s] + extra
+            moves._traces.clear()
+            miss = _run_all(capsys, argv)
+            _run_all(capsys, ["shuffle", command, "--script", s])
+            assert len(moves._traces) == 1
+            assert _run_all(capsys, argv) == miss, (name, extra)
+        if name == "domino_shuffle":
+            assert miss == (2, "", "MoveNotApplicable: face f0 has Delta = ac + bd = 0\n")
+
+
+def test_zero_delta_on_a_hit_survives_optimize_flag(tmp_path):
+    """The Delta check of a replay is an explicit raise, so python -O keeps it."""
+    s = _write(tmp_path, "s.json", bundled_script("domino_shuffle"))
+    edges = tg.catalog("square_lattice").graph.edges
+    sw = _write(tmp_path, "sw.json", {e: ("-1" if e == "h0,0" else "1") for e in edges})
+    code = (
+        "import contextlib, io, json\n"
+        "from dimermod import cli, moves\n"
+        "def run(*extra):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(['shuffle', 'apply', '--script', %r] + list(extra))\n"
+        "    return code, err.getvalue(), len(moves._traces)\n"
+        "print(json.dumps([run('--weights', %r), run(), run('--weights', %r)]))\n"
+    ) % (s, sw, sw)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    miss, warm, hit = json.loads(out.stdout)
+    assert miss == [2, "MoveNotApplicable: face f0 has Delta = ac + bd = 0\n", 0]
+    assert warm[0] == 0 and warm[2] == 1
+    assert hit == [2, miss[1], 1]
 
 
 def test_shuffle_apply_builds_the_abel_map_once(tmp_path, capsys, monkeypatch):
@@ -186,11 +249,15 @@ def test_shuffle_apply_builds_the_abel_map_once(tmp_path, capsys, monkeypatch):
     builds = []
     build = moves.discrete_abel_map
     monkeypatch.setattr(moves, "discrete_abel_map", lambda g, v=None: builds.append(v) or build(g, v))
+    # each call traces the script afresh, as a one-shot call does; the traces
+    # made here, one of them without a map, are dropped after the test
+    monkeypatch.setattr(moves, "_traces", {})
     code, out = _run(capsys, ["shuffle", "apply", "--script", s])
     assert code == 0 and len(builds) == 1
     # the same bytes when the Abel shift builds its own map
     profile = moves._profile_from_fates
     monkeypatch.setattr(moves, "_profile_from_fates", lambda *args: (profile(*args)[0], None))
+    monkeypatch.setattr(moves, "_traces", {})
     code, rebuilt = _run(capsys, ["shuffle", "apply", "--script", s])
     assert code == 0 and len(builds) == 3 and rebuilt == out
 

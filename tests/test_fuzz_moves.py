@@ -266,6 +266,55 @@ def domino_shuffle_script(k):
     return moves.MoveScript(name, [m for m, _ in steps], closing)
 
 
+ROUND_TRIPS = ((3, "square_lattice", 4), (1, "square_lattice_2", 4), (0, "honeycomb_3", 3))
+
+
+def round_trip_script(seed, name, trips):
+    """A seeded script of round trips, closed by search onto its catalog graph.
+
+    A round trip is a spider move at a random quad face, the spider move at
+    the face it recreates and the contraction of the four vertices the first
+    one made; or an expansion at a random vertex along a random split of its
+    rotation, then the contraction of the new middle vertex.  So the script
+    uses every kind of move, and its last graph is isomorphic to its first.
+    """
+    rng = random.Random(seed)
+    base = tg.resolve_graph(name)
+    g, w = base, tg.all_ones_weights(base)
+    steps = []
+
+    def apply(move):
+        nonlocal g, w
+        out = moves._apply_move(g, w, move, tag="m%d" % len(steps))
+        steps.append(move)
+        g, w = out.graph, out.weights
+
+    for _ in range(trips):
+        quads = [
+            f.id for f in g.faces()
+            if len(f.darts) == 4 and len({g.dart_tail(d) for d in f.darts}) == 4
+        ]
+        if quads and rng.random() < 0.6:
+            tag = "m%ds" % len(steps)
+            apply({"spider": rng.choice(quads)})
+            apply({"spider": next(
+                f.id for f in g.faces() if all(d[0].startswith(tag + "q") for d in f.darts)
+            )})
+            for i in range(4):
+                apply({"contract": "%sn%d" % (tag, i)})
+        else:
+            v = rng.choice(sorted(v for v, r in g.rotations.items() if len(r) >= 2))
+            rot = list(g.rotations[v])
+            i, n = rng.randrange(len(rot)), rng.randrange(1, len(rot))
+            rot = rot[i:] + rot[:i]
+            tag = "m%dx" % len(steps)
+            apply({"expand": {"vertex": v, "first": rot[:n], "second": rot[n:]}})
+            apply({"contract": tag + "v"})
+    closing = moves.find_closing_isomorphism(g, base)
+    assert closing is not None, (seed, name)
+    return moves.MoveScript(name, steps, closing)
+
+
 @pytest.mark.parametrize(
     "script",
     ["domino_shuffle", "translation_x", "translation_y", 1, 2, 3],

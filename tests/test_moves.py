@@ -1,6 +1,7 @@
 """Elementary transformations, move sequences, and the translation profile."""
 
 import dataclasses
+import os
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from dimermod import intlin, moves, spectral as sp, torusgraph as tg
 from dimermod.groups import build_j, pair
 from dimermod.suites import bundled_script, spider_cross_checks
 from smith_oracle import mat_vec
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def _square():
@@ -550,6 +553,31 @@ def test_abel_shift_independent_of_base_vertex():
     whites = sorted(v for v, c in g.vertices.items() if c == tg.WHITE)
     shifts = [moves.abel_shift(res, base_vertex=w) for w in whites]
     assert all(s == shifts[0] for s in shifts)
+
+
+def test_abel_shift_family_sums_are_the_profile_for_every_base_vertex(monkeypatch):
+    """Summed over each family of parallel zig-zags, the Abel shift is profile.per_edge.
+
+    The per-strand shift of a shuffle that permutes a family depends on the
+    base vertex; its family sums do not.  Each script runs twice, so the
+    second result, and the map kept for the default base vertex, come from
+    its trace.
+    """
+    monkeypatch.syspath_prepend(BENCH)
+    import bench_inputs
+
+    scripts = [bundled_script(n) for n in ("domino_shuffle", "translation_x", "translation_y")]
+    scripts += [bench_inputs.shuffle_script(k) for k in (1, 2, 3, 4)]
+    for data in scripts:
+        script = moves.load_script(data)
+        base = tg.resolve_graph(script.graph)
+        for res in (moves.run_sequence(script, tg.all_ones_weights(base)) for _ in range(2)):
+            families = moves._family_members(res.labels)
+            whites = sorted(v for v, c in base.vertices.items() if c == tg.WHITE)
+            for v in [None] + whites:
+                shift = moves.abel_shift(res, base_vertex=v)
+                sums = {rho: sum(shift[z] for z in members) for rho, members in families.items()}
+                assert sums == res.profile.per_edge, (data["graph"], v)
 
 
 def test_mutate_epsilon_involution():

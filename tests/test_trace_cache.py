@@ -1,0 +1,232 @@
+"""Traced move scripts: a cache hit gives what a full run gives, and the cache keeps its contract."""
+
+import dataclasses
+import functools
+import os
+import random
+from fractions import Fraction
+
+import pytest
+
+from dimermod import DimermodError, moves, torusgraph as tg
+from dimermod.suites import bundled_script
+from test_fuzz_moves import (
+    ROUND_TRIPS,
+    STRAND_WALK,
+    random_walks,
+    round_trip_script,
+)
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+@pytest.fixture(autouse=True)
+def own_traces(monkeypatch):
+    """Each test starts from an empty trace cache; the process's cache is put back after it."""
+    monkeypatch.setattr(moves, "_traces", {})
+
+
+def run_sequence_uncached(script, weights):
+    """Oracle: moves.run_sequence as it was before scripts were traced, every move on every call."""
+    base = tg.resolve_graph(script.graph)
+    if sorted(weights) != sorted(base.edges):
+        raise moves.MoveError("weights must cover exactly the base edges")
+    if any(w == 0 for w in weights.values()):
+        raise moves.MoveError("weights must be nonzero")
+    base_poly, labels = tg.newton_polygon(base)
+    g, w, anchors = moves._track_strands(base, weights, script.moves)
+    return moves._close(script.closing, base, base_poly, labels, g, w, anchors)
+
+
+@functools.lru_cache(maxsize=None)
+def bench_shuffle_script(k):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(BENCH)
+        import bench_inputs
+
+    return bench_inputs.shuffle_script(k)
+
+
+def strand_walk_script():
+    """The seeded strand walk as a script; no closing maps its last graph onto the base."""
+    walk = random_walks(STRAND_WALK[0], STRAND_WALK[1], STRAND_WALK[2], "m%d")
+    steps = [move for _, _, _, move, _ in walk]
+    return moves.MoveScript("square_lattice", steps, {"vertex_map": {}, "edge_map": {}})
+
+
+SCRIPTS = {
+    **{name: lambda name=name: moves.load_script(bundled_script(name))
+       for name in ("domino_shuffle", "translation_x", "translation_y")},
+    **{"shuffle_k%d" % k: lambda k=k: moves.load_script(bench_shuffle_script(k)) for k in (1, 2, 3, 4)},
+    **{"round_trips_%d_%s" % (seed, name): lambda t=(seed, name, trips): round_trip_script(*t)
+       for seed, name, trips in ROUND_TRIPS},
+    "strand_walk": strand_walk_script,
+}
+
+
+def _outcome(run, script, weights):
+    """Everything a caller reads off a run, or the type and text of its error."""
+    try:
+        res = run(script, weights)
+    except DimermodError as exc:
+        return type(exc), str(exc)
+    return (
+        res.weights, res.profile.to_json(), res.fates, moves.abel_shift(res),
+        res.labels, res.genus, res.polygon,
+    )
+
+
+def _recipes(script, weights):
+    recipes = []
+    moves._track_strands(tg.resolve_graph(script.graph), weights, script.moves, recipes)
+    return recipes
+
+
+def _zero_delta_weights(recipes, weights, i):
+    """weights with one side of spider move i changed so that its Delta = ac + bd is 0.
+
+    Spider i must act on base edges that no earlier move read or wrote, so
+    that they still carry their base weights when it runs.
+    """
+    _, _, sides, _, _ = recipes[i]
+    w = dict(weights)
+    a, b, c, d = sides
+    w[a] = -w[b] * w[d] / w[c]
+    return w
+
+
+def _untouched_spiders(recipes, base):
+    """The spider moves whose four sides are base edges no earlier move read or wrote."""
+    touched, out = set(), []
+    for i, r in enumerate(recipes):
+        if r[0] == "spider" and not touched & set(r[2]) and set(r[2]) <= set(base.edges):
+            out.append(i)
+        for part in r[1:]:
+            touched.update(part if isinstance(part, tuple) else (part,))
+    return out
+
+
+def _draws(script, rng):
+    """Four signed weight draws, and two with Delta = 0 at a spider move when the script allows it."""
+    def signed():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+    base = tg.resolve_graph(script.graph)
+    draws = [({e: signed() for e in sorted(base.edges)}, None) for _ in range(4)]
+    recipes = _recipes(script, tg.all_ones_weights(base))
+    spiders = _untouched_spiders(recipes, base)
+    for _ in range(2):
+        w = draws[len(draws) % 4][0]
+        if spiders:
+            i = rng.choice(spiders)
+            draws.append((_zero_delta_weights(recipes, w, i), recipes[i][1]))
+        else:
+            draws.append(({e: -x for e, x in w.items()}, None))
+    return draws
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_hit_and_miss_match_the_uncached_run(name):
+    """Cold call, cache hit and the uncached oracle agree on every draw: results, or error type and text."""
+    script = SCRIPTS[name]()
+    ones = tg.all_ones_weights(tg.resolve_graph(script.graph))
+    for weights, zero_at in _draws(script, random.Random(name)):
+        moves._traces.clear()
+        cold = _outcome(moves.run_sequence, script, weights)
+        _outcome(moves.run_sequence, script, ones)
+        assert len(moves._traces) == (name != "strand_walk")
+        hit = _outcome(moves.run_sequence, script, weights)
+        want = _outcome(run_sequence_uncached, script, weights)
+        assert cold == want and hit == want
+        if zero_at is not None:
+            assert want == (moves.MoveNotApplicable, "face %s has Delta = ac + bd = 0" % zero_at)
+
+
+def test_zero_delta_before_a_bad_move_wins_on_every_call():
+    """Delta = 0 at move i comes before a missing vertex at move j > i, on the first call and on the next.
+
+    A script with a bad move is never kept, so every call runs the full path.
+    """
+    data = dict(bench_shuffle_script(2))
+    data["moves"] = data["moves"] + [{"contract": "nope"}]
+    script = moves.load_script(data)
+    base = tg.resolve_graph(script.graph)
+    ones = tg.all_ones_weights(base)
+    recipes = _recipes(moves.load_script(bench_shuffle_script(2)), ones)
+    i = _untouched_spiders(recipes, base)[2]
+    weights = _zero_delta_weights(recipes, ones, i)
+    message = "face %s has Delta = ac + bd = 0" % recipes[i][1]
+    for run in (moves.run_sequence, moves.run_sequence, run_sequence_uncached):
+        with pytest.raises(moves.MoveNotApplicable) as err:
+            run(script, weights)
+        assert str(err.value) == message
+    for run in (moves.run_sequence, run_sequence_uncached):
+        with pytest.raises(moves.MoveNotApplicable) as err:
+            run(script, ones)
+        assert str(err.value) == "no vertex nope to contract"
+    assert moves._traces == {}
+
+
+def test_a_result_changed_by_its_caller_leaves_the_next_call_unchanged():
+    script = moves.load_script(bench_shuffle_script(2))
+    weights = tg.random_weights(tg.resolve_graph(script.graph), random.Random(3))
+    want = _outcome(run_sequence_uncached, script, weights)
+    for _ in range(3):  # a miss, then hits
+        res = moves.run_sequence(script, weights)
+        assert _outcome(lambda s, w: res, script, weights) == want
+        zid = min(res.fates)
+        res.weights.clear()
+        res.profile.per_strand[zid] = Fraction(7)
+        res.profile.per_edge.clear()
+        res.fates[zid] = moves.StrandFate(target=zid, offset=(5, 5))
+        res.labels.clear()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.fates[max(res.fates)].offset = (1, 1)
+
+
+def test_the_cache_keeps_at_most_its_bound_least_recently_used_out():
+    """Translations by distinct deck vectors are distinct scripts over one catalog graph."""
+    base = tg.resolve_graph("square_lattice")
+    identity = {
+        "vertex_map": {v: v for v in base.vertices},
+        "edge_map": {e: e for e in base.edges},
+    }
+    scripts = [
+        moves.MoveScript("square_lattice", [], dict(identity, translation=[m, 0]))
+        for m in range(moves._TRACES_KEPT + 8)
+    ]
+    ones = tg.all_ones_weights(base)
+    for script in scripts:
+        moves.run_sequence(script, ones)
+        moves.run_sequence(scripts[0], ones)  # the first script stays the most recently used
+    assert len(moves._traces) == moves._TRACES_KEPT
+    kept = {text for _, text in moves._traces}
+    assert moves._trace_key(scripts[0], base)[1] in kept
+    assert moves._trace_key(scripts[1], base)[1] not in kept
+    assert moves._trace_key(scripts[-1], base)[1] in kept
+
+
+def test_a_script_with_a_move_that_has_no_recipe_is_never_kept(monkeypatch):
+    script = moves.load_script(bundled_script("domino_shuffle"))
+    weights = tg.random_weights(tg.resolve_graph(script.graph), random.Random(4))
+    want = _outcome(run_sequence_uncached, script, weights)
+    calls = []
+    spider = moves.spider_move
+
+    def without_recipe(*args, **kwargs):
+        calls.append(1)
+        return dataclasses.replace(spider(*args, **kwargs), recipe=None)
+
+    monkeypatch.setattr(moves, "spider_move", without_recipe)
+    for n in (1, 2):
+        assert _outcome(moves.run_sequence, script, weights) == want
+        assert moves._traces == {} and len(calls) == 2 * n
+
+
+def test_a_base_that_is_not_the_shared_catalog_graph_is_never_kept():
+    script = moves.load_script(bundled_script("domino_shuffle"))
+    own = tg.catalog(script.graph).graph
+    weights = tg.all_ones_weights(own)
+    first = moves.run_sequence(script, weights, own)
+    assert moves._traces == {}
+    assert _outcome(lambda s, w: first, script, weights) == _outcome(run_sequence_uncached, script, weights)
