@@ -11,7 +11,7 @@ the closing isomorphism.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import DimermodError, intlin, polygon as poly
@@ -369,7 +369,9 @@ class SequenceResult:
     fates: dict
     genus: int
     abel: object = None  # the base graph's Abel map, when the profile needed it
-    # base_graph, polygon and abel may be shared with other calls and must not be changed
+    # a traced script's default-base-vertex Abel shift, shared by every run of the trace
+    shift_memo: list = field(default=None, compare=False, repr=False)
+    # base_graph, polygon, abel and shift_memo may be shared with other calls and must not be changed
 
 
 class MoveScript:
@@ -502,12 +504,12 @@ def run_sequence(script, weights, base=None):
     sums g(E_rho), and the canonical reduced class modulo j H_1.
 
     Of the result, only the final weights depend on the weights; the graphs
-    the script passes through, the strand fates, the profile and the Abel
-    map do not.  So a script over a shared catalog graph is traced once per
-    process (the 32 most recently used are kept), and a later call only
-    pushes its weights through each move's recipe, where Delta = 0 is the
-    one check left to fail.  A script over a graph file is traced on every
-    call, and a one-shot shell call still pays for its trace.
+    the script passes through, the strand fates, the profile, the Abel map
+    and the Abel shift do not.  So a script over a shared catalog graph is
+    traced once per process (the 32 most recently used are kept), and a
+    later call only pushes its weights through each move's recipe, where
+    Delta = 0 is the one check left to fail.  A script over a graph file is
+    traced on every call, and a one-shot shell call still pays for its trace.
     """
     if base is None:
         base = resolve_graph(script.graph)
@@ -523,6 +525,7 @@ def run_sequence(script, weights, base=None):
         g, w, anchors = _track_strands(base, weights, script.moves, recipes)
         res = _close(script.closing, base, base_poly, labels, g, w, anchors)
         if key is not None and None not in recipes:
+            res = replace(res, shift_memo=[])
             edge_map = dict(script.closing["edge_map"])
             _traces[key] = _Trace(tuple(recipes), edge_map, _with_weights(res, None))
             if len(_traces) > _TRACES_KEPT:
@@ -745,8 +748,12 @@ def abel_shift(result, base_vertex=None):
     sequence is the coefficient of its own label in the Abel map at a black
     vertex on the lift; the shift collects the differences.  A translation
     by m yields exactly div chi^m.  The map `run_sequence` built from the
-    default base vertex is reused.
+    default base vertex is reused, and so is the default-base-vertex shift
+    of a traced script, kept with its trace; each call gets its own dict.
     """
+    memo = result.shift_memo if base_vertex is None else None
+    if memo and memo[0] == result.fates:  # the fates a caller may have changed
+        return dict(memo[1])
     base = result.base_graph
     abel = result.abel
     if abel is None or base_vertex is not None:
@@ -762,6 +769,8 @@ def abel_shift(result, base_vertex=None):
         shift[zid] = level1 - level0
     if sum(shift.values()) != 0:
         raise StrandMatchAmbiguous("Abel shift has nonzero degree")
+    if memo is not None:
+        memo[:] = (dict(result.fates), dict(shift))
     return shift
 
 

@@ -3,14 +3,19 @@
 Laurent polynomials in (z, w) are sparse maps from integer exponent pairs to
 exact rationals.  det K(z, w) is found by evaluation and interpolation: after
 a monomial shift and a rational scale per row, K has integer polynomial
-entries, the degree box is the sum of the rows' exponent spans, and integer
-determinants (Bareiss) on that grid of points are interpolated exactly.  The
-cost is polynomial in the number of vertices; nothing is floating point.
+entries, and integer determinants (Bareiss) at integer nodes are
+interpolated exactly, row of w-exponents by row.  The rows' exponent spans
+bound the support by a box; a graph's first call with positive weights
+evaluates on that box and learns the support, its matching polygon, which
+holds the support for any weights, so every later call on the same graph
+object evaluates only there.  The cost is polynomial in the number of
+vertices; nothing is floating point.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -126,107 +131,186 @@ class LaurentPoly2:
 def normalized_poly(p):
     """Kill the scalar/monomial/sign-sector gauge of a characteristic polynomial.
 
-    Translates the lex-min support vertex to the origin and makes it monic.
-    On the torus, Kasteleyn sign solutions also differ by the H^1(T, Z_2)
-    twists (z, w) -> (+-z, +-w), so the normalization additionally picks the
-    lexicographically smallest of the four twisted forms.
+    Translates the lex-min support point, always a vertex of the Newton
+    polygon, to the origin and makes it monic.  On the torus, Kasteleyn sign
+    solutions also differ by the H^1(T, Z_2) twists (z, w) -> (+-z, +-w), so
+    the normalization additionally picks the lexicographically smallest of
+    the four twisted forms.  A twist keeps the origin's coefficient 1, so
+    each form is the monic one with some signs flipped.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot normalize the zero polynomial")
-    hull = poly.convex_hull(list(p.terms))
-    corner = min(hull)
-    base = p.shift(-corner[0], -corner[1])
-    best = None
-    for sx in (1, -1):
-        for sy in (1, -1):
-            twisted = LaurentPoly2(
-                {
-                    (i, j): c * (sx if i % 2 else 1) * (sy if j % 2 else 1)
-                    for (i, j), c in base.terms.items()
-                }
-            )
-            monic = twisted.scale(Fraction(1) / twisted.terms[(0, 0)])
-            key = tuple(sorted((k, monic.terms[k]) for k in monic.terms))
-            if best is None or key < best[0]:
-                best = (key, monic)
-    return best[1]
+    ci, cj = min(p.terms)
+    lead = p.terms[ci, cj]
+    monic = sorted(((i - ci, j - cj), c / lead) for (i, j), c in p.terms.items())
+    best = min(
+        [((i, j), c * (sx if i % 2 else 1) * (sy if j % 2 else 1)) for (i, j), c in monic]
+        for sx in (1, -1)
+        for sy in (1, -1)
+    )
+    out = LaurentPoly2()
+    out.terms = dict(best)
+    return out
 
 
 def kasteleyn_signs(g):
     """Edge signs with product (-1)^(k+1) around every degree-2k face.
 
-    Solved exactly over GF(2) with deterministic pivoting; a failure would
-    mean the face data is inconsistent, which validation already excludes.
+    Solved exactly over GF(2) with deterministic pivoting, on int bitmasks:
+    bit c of a face's row is edge c in sorted order, and the bit above the
+    edges is the right-hand side.  A failure would mean the face data is
+    inconsistent, which validation already excludes.
     """
     edge_ids = sorted(g.edges)
     idx = {e: i for i, e in enumerate(edge_ids)}
+    rhs = 1 << len(edge_ids)
     rows = []
     for f in g.faces():
-        vec = [0] * (len(edge_ids) + 1)
+        vec = 0
         for e, _ in f.darts:
-            vec[idx[e]] ^= 1
-        k = len(f.darts) // 2
-        vec[-1] = (k + 1) % 2
+            vec ^= 1 << idx[e]
+        if (len(f.darts) // 2 + 1) % 2:
+            vec |= rhs
         rows.append(vec)
     # GF(2) elimination
     pivots = []
     r = 0
     for c in range(len(edge_ids)):
-        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        bit = 1 << c
+        sel = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
+        top = rows[r]
         for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
+            if i != r and rows[i] & bit:
+                rows[i] ^= top
         pivots.append(c)
         r += 1
-    for i in range(r, len(rows)):
-        if rows[i][-1]:
-            raise NoValidSignAssignment("face sign conditions are inconsistent")
-    x = [0] * len(edge_ids)
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][-1]
-    return {e: (-1) ** x[idx[e]] for e in edge_ids}
+    if any(row & rhs for row in rows[r:]):
+        raise NoValidSignAssignment("face sign conditions are inconsistent")
+    negative = {edge_ids[c] for i, c in enumerate(pivots) if rows[i] & rhs}
+    return {e: -1 if e in negative else 1 for e in edge_ids}
 
 
-def kasteleyn_matrix(g, weights, signs=None):
+class _Plan:
+    """What det K(z, w) needs of a graph besides its weights.
+
+    `signs` are the Kasteleyn signs, `blacks` and `whites` the sorted row
+    and column vertices, and `template[r]` lists black row r's edges as
+    (white column, z-exponent, w-exponent, sign, edge).  `region` is None
+    until a call with every weight positive sets it to that call's support,
+    as (w-exponent, least z-exponent, greatest z-exponent) rows.
+    """
+
+    __slots__ = ("signs", "blacks", "whites", "template", "region")
+
+    def __init__(self, g):
+        self.blacks = sorted(v for v, c in g.vertices.items() if c == "b")
+        self.whites = sorted(v for v, c in g.vertices.items() if c == "w")
+        if len(self.blacks) != len(self.whites):
+            raise UnbalancedColors("need equal numbers of black and white vertices")
+        self.signs = kasteleyn_signs(g)
+        bi = {v: i for i, v in enumerate(self.blacks)}
+        wi = {v: i for i, v in enumerate(self.whites)}
+        self.template = [[] for _ in self.blacks]
+        for e, (b, w, d) in g.edges.items():
+            self.template[bi[b]].append((wi[w], d[0], d[1], self.signs[e], e))
+        self.region = None
+
+    def scaled_rows(self, weights):
+        """K's rows, each as (integer terms, m), and whether every weight is positive.
+
+        Row r times the lcm m of its weights' denominators has the terms
+        (column, i, j, c), c != 0: the edges of one entry and displacement
+        are summed, as in `kasteleyn_matrix`.
+        """
+        rows, positive = [], True
+        for edges in self.template:
+            ws = [weights[e] for *_, e in edges]
+            m = lcm(*(x.denominator for x in ws))
+            terms = {}
+            for (col, i, j, s, _), x in zip(edges, ws):
+                terms[col, i, j] = terms.get((col, i, j), 0) + s * x.numerator * (m // x.denominator)
+                positive = positive and x.numerator > 0
+            rows.append(([(col, i, j, c) for (col, i, j), c in terms.items() if c], m))
+        return rows, positive
+
+
+_plans = weakref.WeakKeyDictionary()  # graph -> _Plan, kept as long as the graph
+
+
+def _plan(g):
+    plan = _plans.get(g)
+    if plan is None:
+        plan = _plans[g] = _Plan(g)
+    return plan
+
+
+def kasteleyn_matrix(g, weights):
     """K(z, w): rows by black vertex, columns by white vertex, both sorted.
 
     Entry (b, w) sums sign(e) * weight(e) * z^i w^j over the edges e from b
     to w with displacement (i, j).
     """
-    blacks = sorted(v for v, c in g.vertices.items() if c == "b")
-    whites = sorted(v for v, c in g.vertices.items() if c == "w")
-    if len(blacks) != len(whites):
-        raise UnbalancedColors("need equal numbers of black and white vertices")
-    if signs is None:
-        signs = kasteleyn_signs(g)
-    bi = {v: i for i, v in enumerate(blacks)}
-    wi = {v: i for i, v in enumerate(whites)}
-    n = len(blacks)
+    plan = _plan(g)
+    n = len(plan.blacks)
     mat = [[LaurentPoly2() for _ in range(n)] for _ in range(n)]
-    for e, (b, w, d) in g.edges.items():
-        term = LaurentPoly2.monomial(Fraction(signs[e]) * weights[e], d[0], d[1])
-        mat[bi[b]][wi[w]] = mat[bi[b]][wi[w]] + term
+    for r, edges in enumerate(plan.template):
+        for col, i, j, s, e in edges:
+            mat[r][col] = mat[r][col] + LaurentPoly2.monomial(s * weights[e], i, j)
     return mat
 
 
-def kasteleyn_polynomial(g, weights, signs=None):
-    """det K(z, w) for the signed, homology-graded Kasteleyn matrix."""
-    return laurent_det(kasteleyn_matrix(g, weights, signs))
+def kasteleyn_polynomial(g, weights):
+    """det K(z, w) for the signed, homology-graded Kasteleyn matrix.
+
+    The integer rows are built from the graph's plan, kept per graph object.
+    A call evaluates on the degree box until a call with every weight
+    positive has learned the support; after that, on the support's rows
+    alone.  That is exact by Kenyon-Okounkov-Sheffield (Dimers and amoebae,
+    section 3): with Kasteleyn signs on the torus, all perfect matchings of
+    one homology class carry the same sign in det K.  So under positive
+    weights every class has a nonzero coefficient, and under any weights the
+    support lies among the classes.  An empty support means the graph has no
+    perfect matching, and every later determinant is 0.
+    """
+    plan = _plan(g)
+    rows, positive = plan.scaled_rows(weights)
+    p = _scaled_det(rows, plan.region)
+    if positive and plan.region is None:
+        support = {}
+        for i, j in p.terms:
+            lo, hi = support.get(j, (i, i))
+            support[j] = (min(lo, i), max(hi, i))
+        plan.region = tuple((j, lo, hi) for j, (lo, hi) in sorted(support.items()))
+    return p
 
 
-def laurent_det(mat):
+def laurent_det(mat, rows=None):
     """Exact determinant of a square matrix of LaurentPoly2 entries.
 
     Row r is multiplied by z^-a_r w^-b_r (its least exponents) and by the lcm
     s_r of its coefficient denominators, which leaves integer polynomials.
     Every term of the determinant takes one entry from each row, so its
     degrees are at most the sums Dz, Dw of the rows' exponent spans.  The
-    integer determinant is taken at every point of (0..Dz) x (0..Dw) and
-    interpolated, first in w and then in z; dividing by prod s_r and
+    determinant is evaluated on a region given by rows: for w-exponent j,
+    the z-exponents lo_j..hi_j.  `rows` holds them in absolute exponents,
+    one (j, lo_j, hi_j) per w-exponent, and is clipped to the box; by default the region is
+    the box (0..Dz) x (0..Dw), all of whose rows are 0..Dz.  The caller
+    vouches that the support lies in the region.  Dividing by prod s_r and
     multiplying by z^(sum a_r) w^(sum b_r) undoes the row scaling.
+
+    With f_j(z) = z^lo_j g_j(z) the coefficient of w^j, g_j has degree
+    W_j = hi_j - lo_j, so the z-nodes are a = 1..max W_j + 1, and at node a
+    the rows with W_j < a - 1 are finished: g_j is interpolated, so f_j(a)
+    is known.  The open rows span j1..j2; the integer determinant is taken
+    at w-nodes b = 1..j2-j1+1, the finished rows are subtracted, and the
+    rest, divided by b^j1, is interpolated in w; each open row's value,
+    divided by a^lo_j, is g_j(a).  So the region costs sum_j (W_j + 1)
+    determinants, not (Dz+1)(Dw+1).  Every division is exact, and each is
+    checked with an ArithmeticError, as is a zero coefficient at each
+    finished or absent row between j1 and j2.
 
     Those determinants share one Bareiss elimination, staged by what a row
     depends on: the rows free of z and w are eliminated once, the rows in z
@@ -236,50 +320,79 @@ def laurent_det(mat):
     rows make the determinant 0; rows in z alone that are dependent at a
     z-node make that node's values 0.
     """
+    scaled = []
+    for row in mat:
+        terms = [(col, i, j, c) for col, p in enumerate(row) for (i, j), c in p.terms.items()]
+        m = lcm(*(t[3].denominator for t in terms))
+        scaled.append(([(col, i, j, c.numerator * (m // c.denominator)) for col, i, j, c in terms], m))
+    return _scaled_det(scaled, rows)
+
+
+def _scaled_det(scaled, region):
+    """`laurent_det` on the rows of `region`, of the rows (integer terms (column, i, j, c), m), each a matrix row times m."""
     shift_z = shift_w = dz = dw = 0
     scale = 1
     stages = ([], [], [])  # (row index, integer terms): constant, in z alone, the rest
-    for r, row in enumerate(mat):
-        terms = [(col, i, j, c) for col, p in enumerate(row) for (i, j), c in p.terms.items()]
+    for r, (terms, m) in enumerate(scaled):
         if not terms:
             return LaurentPoly2()
         lo_i, hi_i = min(t[1] for t in terms), max(t[1] for t in terms)
         lo_j, hi_j = min(t[2] for t in terms), max(t[2] for t in terms)
-        m = lcm(*(t[3].denominator for t in terms))
         shift_z += lo_i
         shift_w += lo_j
         dz += hi_i - lo_i
         dw += hi_j - lo_j
         scale *= m
         stage = 2 if hi_j > lo_j else 1 if hi_i > lo_i else 0
-        stages[stage].append((r, [(col, i - lo_i, j - lo_j, int(c * m)) for col, i, j, c in terms]))
+        stages[stage].append((r, [(col, i - lo_i, j - lo_j, c) for col, i, j, c in terms]))
+    if region is None:
+        rows = [(j, 0, dz) for j in range(dw + 1)]
+    else:
+        rows = [
+            (j - shift_w, max(lo - shift_z, 0), min(hi - shift_z, dz))
+            for j, lo, hi in sorted(region)
+            if shift_w <= j <= shift_w + dw and lo - shift_z <= dz and hi >= shift_z
+        ]
     const, zonly, rest = ([terms for _, terms in stage] for stage in stages)
     # With no steps taken, reduce_sum writes a row out over all the columns.
-    whole = intlin.Elimination(range(len(mat)))
+    whole = intlin.Elimination(range(len(scaled)))
     first = whole.extend([whole.reduce_sum(_evaluate(t, [1], [1]).items()) for t in const])
-    if first is None:
+    if first is None or not rows:
         return LaurentPoly2()
     sign = _perm_sign([r for stage in stages for r, _ in stage]) * first.sign
-    by_z = []
-    for a in range(dz + 1):
+    values = {j: [] for j, _, _ in rows}  # g_j(1), g_j(2), ...
+    found = []  # (j, lo_j, coefficients of g_j), once interpolated
+    for a in range(1, max(hi - lo for _, lo, hi in rows) + 2):
         pa = [a**k for k in range(dz + 1)]
         second = first.continued().extend(
             [first.reduce_sum(_evaluate(t, pa, [1]).items()) for t in zonly]
         )
-        values = [0] * (dw + 1)
-        for b in range(dw + 1 if second is not None else 0):
+        live = [(j, lo) for j, lo, hi in rows if hi - lo >= a - 1]
+        j1, j2 = live[0][0], live[-1][0]
+        known = [(j, sum(c * pa[lo + k] for k, c in enumerate(g))) for j, lo, g in found]
+        at_b = []
+        for b in range(1, j2 - j1 + 2):
             pb = [b**k for k in range(dw + 1)]
-            third = second.continued().extend(
-                [second.reduce_sum(_evaluate(t, pa, pb).items()) for t in rest]
-            )
-            if third is not None:
-                values[b] = sign * second.sign * third.sign * third.pivot
-        by_z.append(_interpolate(values))
+            v = 0
+            if second is not None:
+                third = second.continued().extend(
+                    [second.reduce_sum(_evaluate(t, pa, pb).items()) for t in rest]
+                )
+                if third is not None:
+                    v = sign * second.sign * third.sign * third.pivot
+            at_b.append(_exact_div(v - sum(f * pb[j] for j, f in known), pb[j1]))
+        h = _interpolate(at_b)
+        open_rows = {j for j, _ in live}
+        if any(h[j - j1] for j in range(j1, j2 + 1) if j not in open_rows):
+            raise ArithmeticError("det K has support outside its evaluation region")
+        for j, lo in live:
+            values[j].append(_exact_div(h[j - j1], pa[lo]))
+        found += [(j, lo, _interpolate(values[j])) for j, lo, hi in rows if hi - lo == a - 1]
     out = {}
-    for j in range(dw + 1):
-        for i, c in enumerate(_interpolate([coeffs[j] for coeffs in by_z])):
+    for j, lo, g in sorted(found):
+        for k, c in enumerate(g):
             if c:
-                out[(i + shift_z, j + shift_w)] = Fraction(c, scale)
+                out[(lo + k + shift_z, j + shift_w)] = Fraction(c, scale)
     return LaurentPoly2(out)
 
 
@@ -291,11 +404,19 @@ def _evaluate(terms, pa, pb):
     return out
 
 
-def _interpolate(values):
-    """Coefficients of the integer polynomial f of degree < len(values) with f(x) = values[x].
+def _exact_div(x, d):
+    """x / d, raising ArithmeticError unless d divides x (a check that python -O keeps)."""
+    q, r = divmod(x, d)
+    if r:
+        raise ArithmeticError("inexact division of %d by %d" % (x, d))
+    return q
 
-    The forward differences give f = sum_k c_k x(x-1)...(x-k+1) with
-    c_k = (Delta^k f)(0) / k!, an integer because f has integer coefficients;
+
+def _interpolate(values):
+    """Coefficients of the integer polynomial f of degree < len(values) with f(x) = values[x - 1].
+
+    The forward differences give f = sum_k c_k (x-1)(x-2)...(x-k) with
+    c_k = (Delta^k f)(1) / k!, an integer because f has integer coefficients;
     Horner's rule in that basis then yields the monomial coefficients.
     """
     d = list(values)
@@ -307,31 +428,27 @@ def _interpolate(values):
     for k, v in enumerate(d):
         if k:
             fact *= k
-        newton.append(v // fact)
+        newton.append(_exact_div(v, fact))
     coeffs = []
     for k in range(len(newton) - 1, -1, -1):
-        # coeffs <- coeffs * (x - k) + newton[k]
+        # coeffs <- coeffs * (x - k - 1) + newton[k]
         coeffs = [0] + coeffs
         for t in range(len(coeffs) - 1):
-            coeffs[t] -= k * coeffs[t + 1]
+            coeffs[t] -= (k + 1) * coeffs[t + 1]
         coeffs[0] += newton[k]
     return coeffs
 
 
-def matching_polynomial(g, weights, signs=None):
+def matching_polynomial(g, weights):
     """Brute-force oracle: signed sum over perfect matchings graded by homology.
 
-    Shares the sign assignment with the determinant route but none of its
-    algebra: matchings are enumerated directly and each contributes
-    sgn(permutation) * prod(sign * weight) * z^a w^b.
+    Shares the graph's plan (sign assignment and vertex order) with the
+    determinant route but none of its algebra: matchings are enumerated
+    directly and each contributes sgn(permutation) * prod(sign * weight) * z^a w^b.
     """
-    blacks = sorted(v for v, c in g.vertices.items() if c == "b")
-    whites = sorted(v for v, c in g.vertices.items() if c == "w")
-    if len(blacks) != len(whites):
-        raise UnbalancedColors("need equal numbers of black and white vertices")
-    if signs is None:
-        signs = kasteleyn_signs(g)
-    wi = {v: i for i, v in enumerate(whites)}
+    plan = _plan(g)
+    blacks, signs = plan.blacks, plan.signs
+    wi = {v: i for i, v in enumerate(plan.whites)}
     by_black = {b: [] for b in blacks}
     for e, (b, w, d) in g.edges.items():
         by_black[b].append((e, w, d))

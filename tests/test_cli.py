@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +97,20 @@ def test_spectral_poly(tmp_path, capsys):
     assert code == 0
     terms = json.loads(out)["terms"]
     assert len(terms) == 3
+
+
+@pytest.mark.parametrize("name", ["square_lattice_3", "honeycomb_5"])
+def test_spectral_poly_same_bytes_cold_and_warm(name, tmp_path, capsys, monkeypatch):
+    """The first call evaluates on the degree box, the next on the matching polygon it learned."""
+    g = tg.resolve_graph(name)
+    rng = random.Random(name)
+    w = _write(tmp_path, "w.json", {e: "%d/%d" % (rng.randint(1, 9), rng.randint(1, 9)) for e in g.edges})
+    for flags in ([], ["--normalized"]):
+        monkeypatch.setattr(sp, "_plans", weakref.WeakKeyDictionary())
+        argv = ["spectral", "poly", "--graph", name, "--weights", w] + flags
+        cold = _run(capsys, argv)
+        assert sp._plans[g].region is not None
+        assert _run(capsys, argv) == cold and cold[0] == 0
 
 
 def test_abel_map_cli(capsys):

@@ -1,6 +1,9 @@
 """Kasteleyn polynomial, the matching oracle, and the discrete Abel map."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -188,8 +191,9 @@ def _bareiss_det(a):
 def _det_box(mat):
     """Reference determinant: one full Bareiss determinant per node of the degree box.
 
-    The same row shift and scaling, box and interpolation as `laurent_det`,
-    with no staging: every node's integer matrix is built and eliminated whole.
+    The same row shift and scaling, box and interpolation (nodes 1, 2, ...)
+    as `laurent_det` with no region, and no staging: every node's integer
+    matrix is built and eliminated whole.
     """
     shift_z = shift_w = dz = dw = 0
     scale = 1
@@ -209,9 +213,9 @@ def _det_box(mat):
         rows.append([(col, i - lo_i, j - lo_j, int(c * m)) for col, i, j, c in terms])
     n = len(rows)
     by_z = []
-    for a in range(dz + 1):
+    for a in range(1, dz + 2):
         values = []
-        for b in range(dw + 1):
+        for b in range(1, dw + 2):
             num = [[0] * n for _ in range(n)]
             for r, terms in enumerate(rows):
                 for col, i, j, c in terms:
@@ -402,11 +406,199 @@ def test_reduce_skips_rescale_steps_on_the_matrix_corpus(monkeypatch):
 
 
 def test_reduce_step_count_on_honeycomb_8(monkeypatch):
-    """Of the 5110 steps of the honeycomb_8 determinant (all weights 1), the 2255 with a zero entry do no arithmetic."""
+    """Of the 5152 steps of the honeycomb_8 determinant on its box (all weights 1), the 2046 with a zero entry do no arithmetic.
+
+    The nodes start at 1, where no entry of a row vanishes for being a
+    multiple of z or w.
+    """
     counts = _checked_reduce(monkeypatch)
     g = tg.catalog("honeycomb_8").graph
     sp.laurent_det(sp.kasteleyn_matrix(g, tg.all_ones_weights(g)))
-    assert counts == [5110, 5110 - 2255, 5110 - 2255]
+    assert counts == [5152, 5152 - 2046, 5152 - 2046]
+
+
+# -- the plan: signs, integer rows and the learned region ---------------------
+
+
+def _kasteleyn_signs_lists(g):
+    """kasteleyn_signs as it was, with GF(2) rows as lists of 0/1: same columns, same pivots."""
+    edge_ids = sorted(g.edges)
+    idx = {e: i for i, e in enumerate(edge_ids)}
+    rows = []
+    for f in g.faces():
+        vec = [0] * (len(edge_ids) + 1)
+        for e, _ in f.darts:
+            vec[idx[e]] ^= 1
+        vec[-1] = (len(f.darts) // 2 + 1) % 2
+        rows.append(vec)
+    pivots = []
+    r = 0
+    for c in range(len(edge_ids)):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    if any(row[-1] for row in rows[r:]):
+        raise sp.NoValidSignAssignment("face sign conditions are inconsistent")
+    x = [0] * len(edge_ids)
+    for i, c in enumerate(pivots):
+        x[c] = rows[i][-1]
+    return {e: (-1) ** x[idx[e]] for e in edge_ids}
+
+
+def test_bitmask_signs_equal_the_list_elimination():
+    names = list(tg.CATALOG_NAMES) + ["honeycomb_%d" % k for k in range(3, 7)] + ["square_lattice_%d" % k for k in (3, 4)]
+    graphs = [tg.catalog(name).graph for name in names] + [g for g, _ in walk_graphs()]
+    for g in graphs:
+        assert sp.kasteleyn_signs(g) == _kasteleyn_signs_lists(g)
+    with pytest.raises(sp.NoValidSignAssignment):
+        _kasteleyn_signs_lists(_one_black_two_whites())
+
+
+def _doubled_edge(g, e):
+    """g with a parallel twin of edge e beside it, bounding a bigon face: a non-minimal graph."""
+    b, w, d = g.edges[e]
+    rot = dict(g.rotations)
+    i, j = rot[b].index(e), rot[w].index(e)
+    rot[b] = rot[b][:i] + ("dup",) + rot[b][i:]
+    rot[w] = rot[w][: j + 1] + ("dup",) + rot[w][j + 1 :]
+    return tg.TorusGraph(g.vertices, dict(g.edges, dup=(b, w, d)), rot)
+
+
+def _sparse_weights(g, rng):
+    """Signed p/q weights with about a third of the edges weighted 0, which shrinks the box."""
+    w = _signed_weights(g, rng)
+    for e in rng.sample(sorted(g.edges), len(g.edges) // 3):
+        w[e] = Fraction(0)
+    return w
+
+
+def _region_mismatches():
+    """Per graph, learn the region from positive weights, then compare signed, sparse and positive draws with the box oracle.
+
+    Returns (cases compared, labels of the mismatches); uses no assert, so
+    that it checks the same under python -O.
+    """
+    names = ["honeycomb_%d" % k for k in range(2, 6)] + ["honeycomb", "square_lattice"]
+    names += ["square_lattice_%d" % k for k in (2, 3)]
+    rng = random.Random(37)
+    graphs = [(name, tg.catalog(name).graph) for name in names]
+    graphs += [("doubled " + name, _doubled_edge(g, rng.choice(sorted(g.edges)))) for name, g in graphs]
+    graphs += [("walk %d" % k, g) for k, (g, _) in enumerate(walk_graphs())]
+    cases, bad = 0, []
+    for label, g in graphs:
+        draws = [tg.random_weights(g, rng), _signed_weights(g, rng), _sparse_weights(g, rng)]
+        draws.append(tg.random_weights(g, rng))
+        for n, weights in enumerate(draws):
+            cases += 1
+            if sp.kasteleyn_polynomial(g, weights) != _det_box(sp.kasteleyn_matrix(g, weights)):
+                bad.append("%s draw %d" % (label, n))
+            if sp._plans[g].region is None:
+                bad.append("%s learned nothing" % label)
+    return cases, bad
+
+
+def test_region_det_matches_box_oracle():
+    cases, bad = _region_mismatches()
+    assert bad == [] and cases == 4 * 29
+
+
+def test_region_det_matches_box_oracle_under_python_O():
+    """The exact-division checks are raises, not asserts: the differential holds with asserts stripped."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = "import sys, test_spectral as t; print(sys.flags.optimize, *t._region_mismatches())"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    flag, cases, bad = out.stdout.split(" ", 2)
+    assert flag == "1" and int(cases) == 4 * 29 and bad.strip() == "[]"
+
+
+def _support_rows(p):
+    rows = {}
+    for i, j in p.terms:
+        rows.setdefault(j, []).append(i)
+    return tuple((j, min(xs), max(xs)) for j, xs in sorted(rows.items()))
+
+
+def test_region_det_on_the_support_of_random_matrices():
+    """Any matrix's determinant, evaluated on its own support's rows or on randomly widened ones, is the box's.
+
+    Random supports leave rows out, and random widths leave the open rows at
+    a z-node apart, so finished rows are subtracted from inside their span.
+    """
+    rng = random.Random(41)
+    kinds = sorted(_ROW_KINDS)
+    for n in range(1, 6):
+        for _ in range(60):
+            mat = [_random_row(rng, n, rng.choice(kinds)) for _ in range(n)]
+            want = _det_box(mat)
+            rows = _support_rows(want)
+            wider = tuple((j, lo - rng.randint(0, 2), hi + rng.randint(0, 2)) for j, lo, hi in rows)
+            assert sp.laurent_det(mat, rows) == sp.laurent_det(mat, wider) == want
+
+
+def test_only_positive_weights_teach_the_region():
+    g = tg.catalog("square_lattice_2").graph
+    rng = random.Random(39)
+    negative = {e: -x for e, x in tg.random_weights(g, rng).items()}
+    for weights in (_signed_weights(g, rng), negative):
+        assert sp.kasteleyn_polynomial(g, weights) == _det_box(sp.kasteleyn_matrix(g, weights))
+        assert sp._plans[g].region is None
+    positive = tg.random_weights(g, rng)
+    want = _det_box(sp.kasteleyn_matrix(g, positive))
+    assert sp.kasteleyn_polynomial(g, positive) == want
+    assert sp._plans[g].region == _support_rows(want)
+    assert sum(hi - lo + 1 for _, lo, hi in sp._plans[g].region) == len(want.terms) == 13
+
+
+def _no_perfect_matching():
+    """The honeycomb with pendant blacks b1, b2 at w0 and pendant whites w1, w2 at b0: balanced, no perfect matching."""
+    g = tg.catalog("honeycomb").graph
+    rot = dict(g.rotations, b1=("p1",), b2=("p2",), w1=("p3",), w2=("p4",))
+    rot["w0"] += ("p1", "p2")
+    rot["b0"] += ("p3", "p4")
+    edges = dict(g.edges, p1=("b1", "w0", (0, 0)), p2=("b2", "w0", (0, 0)))
+    edges.update(p3=("b0", "w1", (0, 0)), p4=("b0", "w2", (0, 0)))
+    return tg.TorusGraph(dict(g.vertices, b1="b", b2="b", w1="w", w2="w"), edges, rot)
+
+
+def test_no_perfect_matching_learns_the_empty_region():
+    g = _no_perfect_matching()
+    rng = random.Random(40)
+    assert sp.matching_polynomial(g, tg.all_ones_weights(g)).is_zero()
+    assert sp.kasteleyn_polynomial(g, tg.random_weights(g, rng)).is_zero()
+    assert sp._plans[g].region == ()
+    for weights in (_signed_weights(g, rng), tg.random_weights(g, rng)):
+        assert sp.kasteleyn_polynomial(g, weights).is_zero()
+        assert _det_box(sp.kasteleyn_matrix(g, weights)).is_zero()
+
+
+@pytest.mark.parametrize("name, box, polygon", [("square_lattice_3", 49, 25), ("honeycomb_5", 36, 21)])
+def test_nodes_on_the_box_then_on_the_matching_polygon(name, box, polygon, monkeypatch):
+    """The first call evaluates at every node of the box, later ones at one node per lattice point of N."""
+    nodes = []
+    evaluate = sp._evaluate
+
+    def counted(terms, pa, pb):
+        if len(pb) > 1:  # a (z, w) node of the last stage
+            nodes.append((pa[1], pb[1]))
+        return evaluate(terms, pa, pb)
+
+    monkeypatch.setattr(sp, "_evaluate", counted)
+    g = tg.catalog(name).graph
+    weights = tg.random_weights(g, random.Random(name))
+    p = sp.kasteleyn_polynomial(g, weights)
+    first = len(set(nodes))
+    nodes.clear()
+    assert sp.kasteleyn_polynomial(g, weights) == p
+    assert (first, len(set(nodes)), len(p.terms)) == (box, polygon, polygon)
 
 
 def test_laurent_json_rejects_bad_coefficients():
@@ -479,6 +671,44 @@ def test_normalized_invariant_under_displacement_representatives():
             e["disp"] = [e["disp"][0] + m[0], e["disp"][1] + m[1]]
     g2 = tg.validate_graph(data)
     assert sp.normalized_poly(sp.kasteleyn_polynomial(g2, w)) == n1
+
+
+def _normalized_poly_by_hull(p):
+    """normalized_poly as it was: corner from the convex hull, each twisted form built and made monic."""
+    corner = min(poly.convex_hull(list(p.terms)))
+    base = p.shift(-corner[0], -corner[1])
+    best = None
+    for sx in (1, -1):
+        for sy in (1, -1):
+            twisted = sp.LaurentPoly2(
+                {
+                    (i, j): c * (sx if i % 2 else 1) * (sy if j % 2 else 1)
+                    for (i, j), c in base.terms.items()
+                }
+            )
+            monic = twisted.scale(Fraction(1) / twisted.terms[(0, 0)])
+            key = tuple(sorted(monic.terms.items()))
+            if best is None or key < best[0]:
+                best = (key, monic)
+    return best[1]
+
+
+def test_normalized_equals_the_hull_and_twist_oracle():
+    rng = random.Random(42)
+    polys = []
+    for _ in range(500):
+        terms = {
+            (rng.randint(-3, 3), rng.randint(-3, 3)): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            for _ in range(rng.randint(1, 8))
+        }
+        polys.append(sp.LaurentPoly2(terms))
+    for name in ("honeycomb_3", "square_lattice_2"):
+        g = tg.catalog(name).graph
+        polys += [sp.kasteleyn_polynomial(g, _signed_weights(g, rng)) for _ in range(5)]
+    for p in polys:
+        if not p.is_zero():
+            got, want = sp.normalized_poly(p), _normalized_poly_by_hull(p)
+            assert got == want and got.to_json() == want.to_json()
 
 
 def test_abel_map_square_lattice():

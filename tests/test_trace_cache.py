@@ -230,3 +230,39 @@ def test_a_base_that_is_not_the_shared_catalog_graph_is_never_kept():
     first = moves.run_sequence(script, weights, own)
     assert moves._traces == {}
     assert _outcome(lambda s, w: first, script, weights) == _outcome(run_sequence_uncached, script, weights)
+
+
+@pytest.mark.parametrize(
+    "name", ["domino_shuffle", "translation_x", "translation_y"] + ["shuffle_k%d" % k for k in (1, 2, 3, 4)]
+)
+def test_abel_shift_is_kept_with_the_trace(name, monkeypatch):
+    """The cold call, the hit and the uncached run agree; the trace computes the default shift once."""
+    script = SCRIPTS[name]()
+    base = tg.resolve_graph(script.graph)
+    weights = tg.random_weights(base, random.Random(name))
+    want = moves.abel_shift(run_sequence_uncached(script, weights))
+    lifts = []
+    lift = moves._black_tail_lift
+    monkeypatch.setattr(moves, "_black_tail_lift", lambda *args: lifts.append(args) or lift(*args))
+    cold = moves.run_sequence(script, weights)
+    shifts = [moves.abel_shift(cold)]
+    assert shifts == [want] and lifts
+    lifts.clear()
+    hits = [moves.run_sequence(script, weights) for _ in range(2)]
+    shifts += [moves.abel_shift(r) for r in hits + [cold]]
+    assert shifts == [want] * 4 and lifts == []
+    assert len({id(s) for s in shifts}) == 4
+    shifts[1][min(want)] += 1  # each caller owns its dict
+    assert moves.abel_shift(hits[0]) == want
+    # an explicit base vertex computes as before
+    least_white = min(v for v, c in base.vertices.items() if c == tg.WHITE)
+    assert moves.abel_shift(hits[1], base_vertex=least_white) == want and lifts
+    # fates a caller changed are not read from the trace, and the error comes on every call
+    abel = moves.discrete_abel_map(base)
+    zid = next(z for z, f in hits[0].fates.items() if abel.shift((1, 0))[f.target])
+    fate = hits[0].fates[zid]
+    hits[0].fates[zid] = moves.StrandFate(fate.target, (fate.offset[0] + 1, fate.offset[1]))
+    for _ in range(2):
+        with pytest.raises(moves.StrandMatchAmbiguous, match="nonzero degree"):
+            moves.abel_shift(hits[0])
+    assert moves.abel_shift(hits[1]) == want
