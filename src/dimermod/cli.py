@@ -135,7 +135,7 @@ def cmd_group_compute(args):
     p = _load_polygon(args.polygon)
     res = cluster_modular_group(p)
     out = res.to_json()
-    out["embedding_matrix"] = [list(r) for r in build_j(p).matrix]
+    out["embedding_matrix"] = build_j(p)
     out["ambient_quotient"] = ambient_quotient(p).to_json()
     _emit(out)
     return 0

@@ -32,53 +32,28 @@ def pair(a, b):
     return a[1] * b[0] - a[0] * b[1]
 
 
-@dataclass(frozen=True)
-class EmbeddingJ:
-    """The embedding j: H_1 -> Z^{E_N}_0 as a |E_N| x 2 integer matrix."""
-
-    polygon: ConvexIntegralPolygon
-    matrix: tuple
-
-    def apply(self, m):
-        return [pair(e, m) for e in self.polygon.edges()]
-
-
 def build_j(p):
-    rows = tuple((pair(e, (1, 0)), pair(e, (0, 1))) for e in p.edges())
+    """The embedding j: H_1 -> Z^{E_N}_0 as |E_N| integer rows, row rho the pairings of E_rho with a basis."""
+    rows = [[pair(e, (1, 0)), pair(e, (0, 1))] for e in p.edges()]
     if any(sum(col) != 0 for col in zip(*rows)):
         raise AssertionError("image must lie in the sum-zero lattice")
-    return EmbeddingJ(polygon=p, matrix=rows)
-
-
-def _matrix(j):
-    return [list(r) for r in j.matrix]
+    return rows
 
 
 def ambient_quotient(p):
     """A = Z^{E_N} / j H_1, the unconstrained ambient quotient."""
-    return intlin.cokernel(_matrix(build_j(p)))
-
-
-def sum_zero_coordinates(vec):
-    """Coordinates of a sum-zero vector in the basis e_i - e_{i+1}.
-
-    These are the partial sums; the representation is exact and integral
-    precisely because the entries sum to zero.
-    """
-    if sum(vec) != 0:
-        raise ValueError("vector is not sum-zero")
-    out = []
-    acc = 0
-    for x in vec[:-1]:
-        acc += x
-        out.append(acc)
-    return out
+    return intlin.cokernel(build_j(p))
 
 
 def _sum_zero_cokernel(cols, n):
-    """Z^{n-1} / span(cols) for sum-zero columns in Z^n, in the basis e_i - e_{i+1}."""
-    reduced = [sum_zero_coordinates(c) for c in cols]
-    return intlin.cokernel([list(r) for r in zip(*reduced)], rows=n - 1)
+    """Z^n_0 / span(cols) for columns in the sum-zero lattice Z^n_0 of Z^n.
+
+    Dropping the last coordinate maps Z^n_0 onto Z^{n-1} one to one, so this
+    is the cokernel in Z^{n-1} of the columns without their last entries.
+    """
+    if any(sum(c) for c in cols):
+        raise AssertionError("columns must lie in the sum-zero lattice")
+    return intlin.cokernel([list(r) for r in zip(*cols)][:-1], rows=n - 1)
 
 
 @dataclass(frozen=True)
@@ -108,7 +83,7 @@ def cluster_modular_group(p):
     g = genus(p)
     n = len(p.vertices)
     if g >= 1:
-        group = _sum_zero_cokernel(list(zip(*build_j(p).matrix)), n)
+        group = _sum_zero_cokernel(list(zip(*build_j(p))), n)
         return ClusterModularGroupResult(group=group, genus=g, case_tag="interior_point")
     group = _sum_zero_cokernel(_divisibility_sublattice_columns(p.multiplicities()), n)
     return ClusterModularGroupResult(group=group, genus=g, case_tag="no_interior_point")
@@ -173,7 +148,7 @@ def torsion_lattice(p):
     """
     if genus(p) < 1:
         raise NoInteriorPoint("torsion lattice needs an interior lattice point")
-    (a, _), (c, d) = intlin.row_lattice_basis(build_j(p).matrix)
+    (a, _), (c, d) = intlin.row_lattice_basis(build_j(p))
     lat = TorsionLattice(basis=_canonical_lattice_basis(((d, 0), (-c, a)), a * d))
     if not (lat.contains((1, 0)) and lat.contains((0, 1))):
         raise AssertionError("torsion lattice does not contain H_1(T, Z)")
@@ -203,7 +178,7 @@ def max_translation_polygon(p, basis=None):
     if basis is None:
         basis = torsion_lattice(p).basis
     q, (x1, y1, x2, y2) = _over_common_denominator((*basis[0], *basis[1]))
-    rows = build_j(p).matrix
+    rows = build_j(p)
     imgs = []
     for x, y in ((x1, y1), (x2, y2)):
         img = [r0 * x + r1 * y for r0, r1 in rows]

@@ -21,8 +21,6 @@ from .torusgraph import (
     BLACK,
     WHITE,
     TorusGraph,
-    UnknownCatalogEntry,
-    _catalog_graph,
     is_id_list,
     newton_polygon,
     resolve_graph,
@@ -368,10 +366,9 @@ class SequenceResult:
     profile: TranslationProfile
     fates: dict
     genus: int
-    abel: object = None  # the base graph's Abel map, when the profile needed it
     # a traced script's default-base-vertex Abel shift, shared by every run of the trace
     shift_memo: list = field(default=None, compare=False, repr=False)
-    # base_graph, polygon, abel and shift_memo may be shared with other calls and must not be changed
+    # base_graph, polygon and shift_memo may be shared with other calls and must not be changed
 
 
 class MoveScript:
@@ -504,12 +501,13 @@ def run_sequence(script, weights, base=None):
     sums g(E_rho), and the canonical reduced class modulo j H_1.
 
     Of the result, only the final weights depend on the weights; the graphs
-    the script passes through, the strand fates, the profile, the Abel map
-    and the Abel shift do not.  So a script over a shared catalog graph is
-    traced once per process (the 32 most recently used are kept), and a
-    later call only pushes its weights through each move's recipe, where
-    Delta = 0 is the one check left to fail.  A script over a graph file is
-    traced on every call, and a one-shot shell call still pays for its trace.
+    the script passes through, the strand fates, the profile and the Abel
+    shift do not.  So the base graph keeps the trace of each script run from
+    it (`TorusGraph.derived`; the 32 most recently used), and a later call
+    only pushes its weights through each move's recipe, where Delta = 0 is
+    the one check left to fail.  A shared catalog graph keeps its traces
+    while the catalog cache keeps it; a graph file is read afresh, so its
+    script is traced on every call, and a one-shot shell call still pays.
     """
     if base is None:
         base = resolve_graph(script.graph)
@@ -517,21 +515,21 @@ def run_sequence(script, weights, base=None):
         raise MoveError("weights must cover exactly the base edges")
     if any(w == 0 for w in weights.values()):
         raise MoveError("weights must be nonzero")
-    key = _trace_key(script, base)
-    trace = _traces.pop(key, None)
+    traces, key = base.derived(_trace_table), repr((script.moves, script.closing))
+    trace = traces.pop(key, None)
     if trace is None:
         base_poly, labels = newton_polygon(base)
         recipes = []
         g, w, anchors = _track_strands(base, weights, script.moves, recipes)
         res = _close(script.closing, base, base_poly, labels, g, w, anchors)
-        if key is not None and None not in recipes:
+        if None not in recipes:
             res = replace(res, shift_memo=[])
             edge_map = dict(script.closing["edge_map"])
-            _traces[key] = _Trace(tuple(recipes), edge_map, _with_weights(res, None))
-            if len(_traces) > _TRACES_KEPT:
-                del _traces[next(iter(_traces))]
+            traces[key] = _Trace(tuple(recipes), edge_map, _with_weights(res, None))
+            if len(traces) > _TRACES_KEPT:
+                del traces[next(iter(traces))]
         return res
-    _traces[key] = trace  # now the most recently used
+    traces[key] = trace  # now the most recently used
     w = dict(weights)
     for recipe in trace.recipes:
         _push_weights(recipe, w)
@@ -547,20 +545,12 @@ class _Trace:
     result: SequenceResult  # with weights None
 
 
-_TRACES_KEPT = 32
-_traces = {}  # (base graph, script text) -> _Trace, least recently used first
+_TRACES_KEPT = 32  # per base graph
 
 
-def _trace_key(script, base):
-    """The trace cache key of a script over the shared catalog graph base; None for any other base."""
-    if not isinstance(script.graph, str):
-        return None
-    try:
-        if _catalog_graph(script.graph) is not base:
-            return None
-    except UnknownCatalogEntry:
-        return None
-    return base, repr((script.moves, script.closing))
+def _trace_table(base):
+    """A base graph's traces: script text -> _Trace, least recently used first."""
+    return {}
 
 
 def _with_weights(res, weights):
@@ -641,16 +631,14 @@ def _close(closing, base, base_poly, labels, g, w, anchors):
         offset = poly.vsub(c, tz.positions[idx])
         fates[zid] = StrandFate(target=target, offset=offset)
 
-    profile, abel = _profile_from_fates(base, base_poly, labels, fates)
     return SequenceResult(
         base_graph=base,
         polygon=base_poly,
         labels=labels,
         weights=final_weights,
-        profile=profile,
+        profile=_profile_from_fates(base, base_poly, labels, fates),
         fates=fates,
         genus=poly.genus(base_poly),
-        abel=abel,
     )
 
 
@@ -672,10 +660,9 @@ def _black_tail_lift(g, z, translate):
 
 
 def _profile_from_fates(base, base_poly, labels, fates):
-    """The translation profile, and the Abel map of base if a permuted family needed it."""
+    """The translation profile; a permuted family reads the Abel map of base."""
     families = _family_members(labels)
     per_strand = {}
-    abel = None
     for rho, members in families.items():
         k = len(members)
         permuted = any(fates[z].target != z for z in members)
@@ -684,8 +671,7 @@ def _profile_from_fates(base, base_poly, labels, fates):
                 h = base.zigzag_by_id(z).homology
                 per_strand[z] = Fraction(pair(h, fates[z].offset))
         else:
-            if abel is None:
-                abel = discrete_abel_map(base)
+            abel = discrete_abel_map(base)
 
             def family_index(path_id, translate):
                 z = base.zigzag_by_id(path_id)
@@ -715,9 +701,8 @@ def _profile_from_fates(base, base_poly, labels, fates):
 
     n = len(base_poly.vertices)
     gvec = [per_edge.get(rho, 0) for rho in range(n)]
-    b = [list(r) for r in build_j(base_poly).matrix]
-    reduced = intlin.reduce_mod_image(gvec, b)
-    return TranslationProfile(per_strand=per_strand, per_edge=per_edge, reduced=reduced), abel
+    reduced = intlin.reduce_mod_image(gvec, build_j(base_poly))
+    return TranslationProfile(per_strand=per_strand, per_edge=per_edge, reduced=reduced)
 
 
 def psi(result, polygon=None):
@@ -747,17 +732,15 @@ def abel_shift(result, base_vertex=None):
     For each strand, the level of its tracked lift before and after the
     sequence is the coefficient of its own label in the Abel map at a black
     vertex on the lift; the shift collects the differences.  A translation
-    by m yields exactly div chi^m.  The map `run_sequence` built from the
-    default base vertex is reused, and so is the default-base-vertex shift
-    of a traced script, kept with its trace; each call gets its own dict.
+    by m yields exactly div chi^m.  The default base vertex's map is the one
+    kept on the base graph, and the default-base-vertex shift of a traced
+    script is kept with its trace; each call gets its own dict.
     """
     memo = result.shift_memo if base_vertex is None else None
     if memo and memo[0] == result.fates:  # the fates a caller may have changed
         return dict(memo[1])
     base = result.base_graph
-    abel = result.abel
-    if abel is None or base_vertex is not None:
-        abel = discrete_abel_map(base, base_vertex)
+    abel = discrete_abel_map(base, base_vertex)
     shift = {}
     for zid, fate in result.fates.items():
         z0 = base.zigzag_by_id(zid)

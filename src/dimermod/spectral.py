@@ -5,23 +5,21 @@ exact rationals.  det K(z, w) is found by evaluation and interpolation: after
 a monomial shift and a rational scale per row, K has integer polynomial
 entries, and integer determinants (Bareiss) at integer nodes are
 interpolated exactly, row of w-exponents by row.  The rows' exponent spans
-bound the support by a box; a graph's first call with positive weights
-evaluates on that box and learns the support, its matching polygon, which
-holds the support for any weights, so every later call on the same graph
-object evaluates only there.  The cost is polynomial in the number of
-vertices; nothing is floating point.
+bound the support by a box; until a call with positive weights has learned
+the support, its matching polygon, which holds the support for any weights,
+calls on a graph evaluate on that box, and after it only on the support,
+which the graph keeps with its plan.  The cost is polynomial in the number
+of vertices; nothing is floating point.
 """
 
 from __future__ import annotations
 
-import json
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from . import DimermodError, intlin, polygon as poly
-from .torusgraph import GraphError, UnbalancedColors, WHITE, _parse_rational
+from .torusgraph import GraphError, UnbalancedColors, WHITE
 
 
 class ZeroPolynomial(DimermodError):
@@ -97,9 +95,6 @@ class LaurentPoly2:
         p.terms = {(i + di, j + dj): c for (i, j), c in self.terms.items()}
         return p
 
-    def support(self):
-        return sorted(self.terms)
-
     def to_json(self):
         return {
             "terms": [
@@ -107,19 +102,6 @@ class LaurentPoly2:
                 for (i, j), c in sorted(self.terms.items())
             ]
         }
-
-    @classmethod
-    def from_json(cls, data):
-        if not isinstance(data, dict):
-            data = json.load(data)
-        return cls(
-            {
-                (t["z"], t["w"]): _parse_rational(
-                    t["coeff"], "coefficient of z^%s w^%s" % (t["z"], t["w"])
-                )
-                for t in data["terms"]
-            }
-        )
 
     def __repr__(self):
         bits = []
@@ -194,7 +176,7 @@ def kasteleyn_signs(g):
 
 
 class _Plan:
-    """What det K(z, w) needs of a graph besides its weights.
+    """What det K(z, w) needs of a graph besides its weights, kept on the graph (`TorusGraph.derived`).
 
     `signs` are the Kasteleyn signs, `blacks` and `whites` the sorted row
     and column vertices, and `template[r]` lists black row r's edges as
@@ -237,23 +219,13 @@ class _Plan:
         return rows, positive
 
 
-_plans = weakref.WeakKeyDictionary()  # graph -> _Plan, kept as long as the graph
-
-
-def _plan(g):
-    plan = _plans.get(g)
-    if plan is None:
-        plan = _plans[g] = _Plan(g)
-    return plan
-
-
 def kasteleyn_matrix(g, weights):
     """K(z, w): rows by black vertex, columns by white vertex, both sorted.
 
     Entry (b, w) sums sign(e) * weight(e) * z^i w^j over the edges e from b
     to w with displacement (i, j).
     """
-    plan = _plan(g)
+    plan = g.derived(_Plan)
     n = len(plan.blacks)
     mat = [[LaurentPoly2() for _ in range(n)] for _ in range(n)]
     for r, edges in enumerate(plan.template):
@@ -265,7 +237,7 @@ def kasteleyn_matrix(g, weights):
 def kasteleyn_polynomial(g, weights):
     """det K(z, w) for the signed, homology-graded Kasteleyn matrix.
 
-    The integer rows are built from the graph's plan, kept per graph object.
+    The integer rows are built from the graph's plan, kept on the graph.
     A call evaluates on the degree box until a call with every weight
     positive has learned the support; after that, on the support's rows
     alone.  That is exact by Kenyon-Okounkov-Sheffield (Dimers and amoebae,
@@ -275,7 +247,7 @@ def kasteleyn_polynomial(g, weights):
     support lies among the classes.  An empty support means the graph has no
     perfect matching, and every later determinant is 0.
     """
-    plan = _plan(g)
+    plan = g.derived(_Plan)
     rows, positive = plan.scaled_rows(weights)
     p = _scaled_det(rows, plan.region)
     if positive and plan.region is None:
@@ -446,7 +418,7 @@ def matching_polynomial(g, weights):
     determinant route but none of its algebra: matchings are enumerated
     directly and each contributes sgn(permutation) * prod(sign * weight) * z^a w^b.
     """
-    plan = _plan(g)
+    plan = g.derived(_Plan)
     blacks, signs = plan.blacks, plan.signs
     wi = {v: i for i, v in enumerate(plan.whites)}
     by_black = {b: [] for b in blacks}
@@ -550,8 +522,15 @@ def discrete_abel_map(g, base_vertex=None):
     A spanning tree rooted at the base vertex fixes one lift per vertex; the
     remaining edges determine the equivariance shifts and must satisfy them
     exactly, otherwise the graph data is corrupt and InconsistentAbelMap is
-    raised.
+    raised.  The map from the default base vertex, the least white one, is
+    kept on the graph (`TorusGraph.derived`); callers must not change it.
     """
+    if base_vertex is None:
+        return g.derived(_abel_map)
+    return _abel_map(g, base_vertex)
+
+
+def _abel_map(g, base_vertex=None):
     if base_vertex is None:
         base_vertex = min(v for v, c in g.vertices.items() if c == WHITE)
     zids = [z.id for z in g.zigzags()]

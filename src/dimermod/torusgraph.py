@@ -194,9 +194,13 @@ class TorusGraph:
     So a move costs the copies, which are linear in the graph but cheap,
     and the zig-zag paths through its disk, which it traces again in full.
 
-    Catalog graphs are shared: `resolve_graph` builds each one once per
-    process and hands the same object to every caller, so no caller may
-    mutate a graph, and a move copies what it changes.
+    What the graph alone determines (its Kasteleyn plan, its default Abel
+    map, the traces of scripts run from it) is kept by `derived` as long as
+    the graph lives; a move's graph starts with none of it.  Catalog graphs
+    are shared: `resolve_graph` builds each one once per process and hands
+    the same object to every caller, so it carries its derived data while
+    the catalog cache keeps it, no caller may mutate a graph, and a move
+    copies what it changes.  A graph file is read afresh on every call.
     """
 
     def __init__(self, vertices, edges, rotations, parent=None, changed=(), removed=()):
@@ -218,6 +222,13 @@ class TorusGraph:
         self._check_topology(self._face.update(dirty_f, self.edges))
         self.traced_zigzags = self._zz.update(dirty_z, self.edges)
         self._faces = self._zigzags = None
+        self._derived = {}
+
+    def derived(self, make):
+        """make(self), made at most once per graph and kept as long as it lives; a raise keeps nothing."""
+        if make not in self._derived:
+            self._derived[make] = make(self)
+        return self._derived[make]
 
     # -- basic dart algebra -------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
@@ -106,10 +107,11 @@ def test_spectral_poly_same_bytes_cold_and_warm(name, tmp_path, capsys, monkeypa
     rng = random.Random(name)
     w = _write(tmp_path, "w.json", {e: "%d/%d" % (rng.randint(1, 9), rng.randint(1, 9)) for e in g.edges})
     for flags in ([], ["--normalized"]):
-        monkeypatch.setattr(sp, "_plans", weakref.WeakKeyDictionary())
+        tg._catalog_graph.cache_clear()
+        g = tg.resolve_graph(name)
         argv = ["spectral", "poly", "--graph", name, "--weights", w] + flags
         cold = _run(capsys, argv)
-        assert sp._plans[g].region is not None
+        assert g.derived(sp._Plan).region is not None
         assert _run(capsys, argv) == cold and cold[0] == 0
 
 
@@ -189,15 +191,20 @@ def test_shuffle_reads_the_script_graph_once(command, tmp_path, capsys, monkeypa
     s = _write(tmp_path, "s.json", script)
     reads, traced = [], []
     validate, track = tg.validate_graph, moves._track_strands
-    monkeypatch.setattr(tg, "validate_graph", lambda data: reads.append(1) or validate(data))
+    monkeypatch.setattr(tg, "validate_graph", lambda data: _keep_ref(reads, validate(data)))
     monkeypatch.setattr(moves, "_track_strands", lambda *args: traced.append(1) or track(*args))
-    monkeypatch.setattr(moves, "_traces", {})
     outs = []
     for n in (1, 2):
         code, out = _run(capsys, ["shuffle", command, "--script", s])
         outs.append(out)
-        assert code == 0 and len(reads) == n and len(traced) == n and moves._traces == {}
+        gc.collect()
+        assert code == 0 and len(reads) == n and len(traced) == n and all(r() is None for r in reads)
     assert outs[0] == outs[1]
+
+
+def _keep_ref(refs, g):
+    refs.append(weakref.ref(g))
+    return g
 
 
 def _run_all(capsys, argv):
@@ -210,7 +217,7 @@ def _run_all(capsys, argv):
 def test_shuffle_prints_the_same_on_a_miss_and_a_hit(command, tmp_path, capsys, monkeypatch):
     """stdout, stderr and exit code of a traced script match its first run, Delta = 0 included."""
     rng = random.Random(command)
-    monkeypatch.setattr(moves, "_traces", {})
+    tg._catalog_graph.cache_clear()
     for name, script in _shuffle_scripts(monkeypatch).items():
         s = _write(tmp_path, name + ".json", script)
         edges = sorted(tg.resolve_graph(script["graph"]).edges)
@@ -221,10 +228,11 @@ def test_shuffle_prints_the_same_on_a_miss_and_a_hit(command, tmp_path, capsys, 
             weights.append(["--weights", _write(tmp_path, "zero.json", zero)])
         for extra in weights:
             argv = ["shuffle", command, "--script", s] + extra
-            moves._traces.clear()
+            traces = tg.resolve_graph(script["graph"]).derived(moves._trace_table)
+            traces.clear()
             miss = _run_all(capsys, argv)
             _run_all(capsys, ["shuffle", command, "--script", s])
-            assert len(moves._traces) == 1
+            assert len(traces) == 1
             assert _run_all(capsys, argv) == miss, (name, extra)
         if name == "domino_shuffle":
             assert miss == (2, "", "MoveNotApplicable: face f0 has Delta = ac + bd = 0\n")
@@ -237,12 +245,12 @@ def test_zero_delta_on_a_hit_survives_optimize_flag(tmp_path):
     sw = _write(tmp_path, "sw.json", {e: ("-1" if e == "h0,0" else "1") for e in edges})
     code = (
         "import contextlib, io, json\n"
-        "from dimermod import cli, moves\n"
+        "from dimermod import cli, moves, torusgraph as tg\n"
         "def run(*extra):\n"
         "    err = io.StringIO()\n"
         "    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = cli.main(['shuffle', 'apply', '--script', %r] + list(extra))\n"
-        "    return code, err.getvalue(), len(moves._traces)\n"
+        "    return code, err.getvalue(), len(tg.resolve_graph('square_lattice').derived(moves._trace_table))\n"
         "print(json.dumps([run('--weights', %r), run(), run('--weights', %r)]))\n"
     ) % (s, sw, sw)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
@@ -256,25 +264,25 @@ def test_zero_delta_on_a_hit_survives_optimize_flag(tmp_path):
 
 
 def test_shuffle_apply_builds_the_abel_map_once(tmp_path, capsys, monkeypatch):
-    """A k-fold shuffle permutes a family: its profile and its Abel shift share one map."""
+    """`abel map`, a k-fold shuffle (which permutes a family) on a miss and a hit, and its phi share one map."""
     monkeypatch.syspath_prepend(BENCH)
     import bench_inputs
 
     s = _write(tmp_path, "s.json", bench_inputs.shuffle_script(2))
     builds = []
-    build = moves.discrete_abel_map
-    monkeypatch.setattr(moves, "discrete_abel_map", lambda g, v=None: builds.append(v) or build(g, v))
-    # each call traces the script afresh, as a one-shot call does; the traces
-    # made here, one of them without a map, are dropped after the test
-    monkeypatch.setattr(moves, "_traces", {})
-    code, out = _run(capsys, ["shuffle", "apply", "--script", s])
-    assert code == 0 and len(builds) == 1
-    # the same bytes when the Abel shift builds its own map
-    profile = moves._profile_from_fates
-    monkeypatch.setattr(moves, "_profile_from_fates", lambda *args: (profile(*args)[0], None))
-    monkeypatch.setattr(moves, "_traces", {})
-    code, rebuilt = _run(capsys, ["shuffle", "apply", "--script", s])
-    assert code == 0 and len(builds) == 3 and rebuilt == out
+    build = sp._abel_map
+    monkeypatch.setattr(sp, "_abel_map", lambda g, v=None: builds.append(g) or build(g, v))
+    tg._catalog_graph.cache_clear()
+    outs = [_run(capsys, ["abel", "map", "--graph", "square_lattice_2"])]
+    for command in ("apply", "apply", "phi"):
+        outs.append(_run(capsys, ["shuffle", command, "--script", s]))
+    assert builds == [tg.resolve_graph("square_lattice_2")]
+    # a fresh graph builds its own map, and every call prints the same bytes
+    tg._catalog_graph.cache_clear()
+    again = [_run(capsys, ["shuffle", "apply", "--script", s])]
+    again.append(_run(capsys, ["abel", "map", "--graph", "square_lattice_2"]))
+    assert len(builds) == 2 and builds[1] is tg.resolve_graph("square_lattice_2")
+    assert again == [outs[1], outs[0]] and all(code == 0 for code, _ in outs)
 
 
 def test_input_error_exit_code(tmp_path, capsys):

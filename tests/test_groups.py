@@ -35,14 +35,14 @@ def _random_g1(rng):
 
 def test_embedding_matrix_diamond():
     j = build_j(DIAMOND)
-    assert [list(r) for r in j.matrix] == [[-1, -1], [1, -1], [1, 1], [-1, 1]]
+    assert j == [[-1, -1], [1, -1], [1, 1], [-1, 1]]
 
 
 def test_embedding_columns_sum_zero_and_injective():
     rng = random.Random(2)
     for _ in range(25):
         p = poly.random_convex_polygon(rng)
-        b = [list(r) for r in build_j(p).matrix]
+        b = build_j(p)
         assert all(sum(col) == 0 for col in zip(*b))
         assert len(intlin.smith_normal_form(b)) == 2
 
@@ -100,7 +100,7 @@ def test_torsion_lattice_diamond():
 def test_torsion_lattice_maps_onto_the_saturation():
     # j(L) is the saturation of j(H_1) in Z^4: (0, -1, 0, 1) = j(-1/2, 1/2)
     # lies in it but not in the image of H_1
-    b = [list(r) for r in build_j(DIAMOND).matrix]
+    b = build_j(DIAMOND)
     images = [mat_vec(b, v) for v in torsion_lattice(DIAMOND).basis]
     assert images == [[-1, 1, 1, -1], [0, -1, 0, 1]]
     target = [0, -1, 0, 1]
@@ -119,7 +119,7 @@ def test_torsion_lattice_against_enumeration():
         order = 1
         for d in a.torsion:
             order *= d
-        rows = build_j(p).matrix
+        rows = build_j(p)
         found = 0
         for x in itertools.product([Fraction(i, n) for i in range(n)], repeat=2):
             integral = all((r[0] * x[0] + r[1] * x[1]).denominator == 1 for r in rows)
@@ -179,7 +179,7 @@ def test_max_translation_rows_sum_zero():
 
 def _cluster_group_alternate_basis(p):
     """Same quotient computed in the basis e_1 - e_i of the sum-zero lattice."""
-    b = [list(r) for r in build_j(p).matrix]
+    b = build_j(p)
     n = len(b)
     cols = []
     for j in range(2):
@@ -198,13 +198,52 @@ def test_cluster_group_basis_independent():
         assert cluster_modular_group(p).group == _cluster_group_alternate_basis(p)
 
 
+def _ambient_by_smith(cols, n):
+    """Z^n / span(cols), by the Smith oracle."""
+    factors = smith_oracle([list(r) for r in zip(*cols)]).invariant_factors()
+    return intlin.FgAbelianGroup(rank=n - len(factors), torsion=tuple(d for d in factors if d > 1))
+
+
 def test_torsion_of_group_matches_ambient():
     # torsion elements have degree zero, so the sum-zero quotient and the
-    # ambient quotient share their torsion subgroup
+    # ambient quotient share their torsion subgroup, and A = G_N + Z: with an
+    # interior point A is Z^{E_N} / j H_1, without one Z^{E_N} over the
+    # divisibility sublattice
     rng = random.Random(11)
-    for _ in range(40):
-        p = _random_g1(rng)
-        assert cluster_modular_group(p).group.torsion == ambient_quotient(p).torsion
+    g1, g0 = suites.random_polygon_corpus(0)
+    for p in [_random_g1(rng) for _ in range(40)] + g1:
+        group, a = cluster_modular_group(p).group, ambient_quotient(p)
+        assert (group.rank + 1, group.torsion) == (a.rank, a.torsion), p.vertices
+    for p in g0:
+        group = cluster_modular_group(p).group
+        a = _ambient_by_smith(groups._divisibility_sublattice_columns(p.multiplicities()), len(p.vertices))
+        assert (group.rank + 1, group.torsion) == (a.rank, a.torsion), p.vertices
+
+
+def _partial_sums_cokernel(cols, n):
+    """Z^{n-1} / span(cols) for sum-zero columns in Z^n, in the basis e_i - e_{i+1} of Z^n_0."""
+    assert all(sum(c) == 0 for c in cols)
+    sums = [list(itertools.accumulate(c))[:-1] for c in cols]
+    return intlin.cokernel([list(r) for r in zip(*sums)], rows=n - 1)
+
+
+def test_sum_zero_cokernel_matches_the_partial_sums_route():
+    """The columns of j, of the divisibility sublattice and of the character divisors, on a ladder of bounds."""
+    rng = random.Random(21)
+    cases = 0
+    for bound in (3, 8, 16, 32, 64, 128):
+        for _ in range(15):
+            p = poly.random_convex_polygon(rng, bound=bound)
+            n = len(p.vertices)
+            scaled = [(d.multiplicity * u[0], d.multiplicity * u[1]) for d in p.edge_data() for u in [d.inward_normal]]
+            for cols in (
+                list(zip(*build_j(p))),
+                groups._divisibility_sublattice_columns(p.multiplicities()),
+                [[pair(v, m) for v in scaled] for m in ((1, 0), (0, 1))],
+            ):
+                assert groups._sum_zero_cokernel(cols, n) == _partial_sums_cokernel(cols, n), p.vertices
+                cases += 1
+    assert cases == 3 * 6 * 15
 
 
 def test_pic0_matches_cluster_group():
@@ -234,7 +273,7 @@ def test_cluster_group_by_determinantal_divisors():
     for _ in range(40):
         p = _random_g1(rng)
         n = len(p)
-        j = build_j(p).matrix
+        j = build_j(p)
         x, y = ([sum(r[k] for r in j[: i + 1]) for i in range(n - 1)] for k in range(2))
         d1 = gcd(*x, *y)
         d2 = gcd(*(x[i] * y[k] - x[k] * y[i] for i in range(n - 1) for k in range(i))) // d1
@@ -291,7 +330,7 @@ def _canonical_basis_of_fractions(gens):
 def _torsion_basis_by_smith(p):
     """With U j V = D, column i of V over d_i maps onto the i-th generator of
     the saturation of j(H_1), so those columns generate L."""
-    snf = smith_oracle([list(r) for r in build_j(p).matrix])
+    snf = smith_oracle(build_j(p))
     gens = [tuple(Fraction(row[i], d) for row in snf.v) for i, d in enumerate(snf.invariant_factors())]
     return _canonical_basis_of_fractions(gens)
 
@@ -310,7 +349,7 @@ def _index_by_fractions(basis):
 def _w_rows_by_fractions(p, basis):
     imgs = []
     for vec in basis:
-        img = [sum(Fraction(row[j]) * vec[j] for j in range(2)) for row in build_j(p).matrix]
+        img = [sum(Fraction(row[j]) * vec[j] for j in range(2)) for row in build_j(p)]
         if any(c.denominator != 1 for c in img):
             raise AssertionError("j(basis) must be integral")
         imgs.append([int(c) for c in img])

@@ -1,6 +1,5 @@
 """Elementary transformations, move sequences, and the translation profile."""
 
-import dataclasses
 import os
 import random
 from fractions import Fraction
@@ -199,7 +198,7 @@ def test_translation_profile_matches_pairing():
         res = moves.run_sequence(script, tg.all_ones_weights(g))
         for z in g.zigzags():
             assert res.profile.per_strand[z.id] == pair(z.homology, m)
-        b = [list(r) for r in build_j(res.polygon).matrix]
+        b = build_j(res.polygon)
         jm = mat_vec(b, list(m))
         assert [res.profile.per_edge[r] for r in range(4)] == jm
         assert all(c == 0 for c in res.profile.reduced)
@@ -303,7 +302,7 @@ def test_psi_additive_over_shuffle_and_translation():
     g = _square()
     base_script = bundled_script("domino_shuffle")
     res1 = moves.run_sequence(moves.load_script(base_script), tg.all_ones_weights(g))
-    b = [list(r) for r in build_j(res1.polygon).matrix]
+    b = build_j(res1.polygon)
     for m in ((1, 0), (0, 1), (2, -1)):
         composed = {
             "graph": base_script["graph"],
@@ -359,7 +358,7 @@ def test_psi_additive_over_double_shuffle():
     }
     res2 = moves.run_sequence(moves.load_script(double), tg.all_ones_weights(g))
     res1 = moves.run_sequence(moves.load_script(base_script), tg.all_ones_weights(g))
-    b = [list(r) for r in build_j(res1.polygon).matrix]
+    b = build_j(res1.polygon)
     doubled = [2 * res1.profile.per_edge[r] for r in range(4)]
     assert intlin.reduce_mod_image(doubled, b) == tuple(res2.profile.reduced)
     assert not moves.is_trivial(res2)
@@ -431,7 +430,7 @@ def test_involution_with_twisted_closing_is_torsion():
     script = moves.MoveScript(graph="square_lattice", moves=mv, closing=twisted)
     res = moves.run_sequence(script, tg.all_ones_weights(base))
     assert not moves.is_trivial(res)
-    b = [list(r) for r in build_j(res.polygon).matrix]
+    b = build_j(res.polygon)
     doubled = [2 * res.profile.per_edge[r] for r in range(4)]
     assert not any(intlin.reduce_mod_image(doubled, b))
 
@@ -468,7 +467,10 @@ def test_refined_lattice_shuffle_with_permuting_families(monkeypatch):
     closing = moves.find_closing_isomorphism(g, base)
     assert closing is not None
     script = moves.MoveScript(graph="square_lattice_2", moves=mv, closing=closing)
-    res = moves.run_sequence(script, tg.all_ones_weights(base))
+    builds = []
+    build = sp._abel_map
+    monkeypatch.setattr(sp, "_abel_map", lambda g, v=None: builds.append(v) or build(g, v))
+    res = moves.run_sequence(script, tg.all_ones_weights(base), base)
     moved = {z for z, v in res.profile.per_strand.items() if v}
     assert all(abs(res.profile.per_strand[z]) == Fraction(1, 2) for z in moved)
     assert all(res.fates[z].target != z for z in moved)
@@ -477,17 +479,13 @@ def test_refined_lattice_shuffle_with_permuting_families(monkeypatch):
     assert not moves.is_trivial(res)
     shift = moves.abel_shift(res)
     assert sum(shift.values()) == 0 and any(shift.values())
-    # the permuted families needed the Abel map; it is kept for the default
-    # base vertex only, and another base vertex gets its own map
-    builds = []
-    build = moves.discrete_abel_map
-    monkeypatch.setattr(moves, "discrete_abel_map", lambda g, v=None: builds.append(v) or build(g, v))
+    # the permuted families needed the Abel map; the base graph keeps it for
+    # the default base vertex only, and another base vertex gets its own map
     whites = sorted(v for v, c in base.vertices.items() if c == tg.WHITE)
-    assert res.abel.base_vertex == whites[0]
-    assert moves.abel_shift(res) == shift and builds == []
-    fresh = dataclasses.replace(res, abel=None)
-    assert moves.abel_shift(res, base_vertex=whites[-1]) == moves.abel_shift(fresh, base_vertex=whites[-1])
-    assert builds == [whites[-1]] * 2
+    assert builds == [None] and sp.discrete_abel_map(base).base_vertex == whites[0]
+    assert moves.abel_shift(res) == shift and builds == [None]
+    assert moves.abel_shift(res, base_vertex=whites[-1]) == moves.abel_shift(res, base_vertex=whites[-1])
+    assert builds == [None] + [whites[-1]] * 2
 
 
 def test_translation_on_refined_lattice_families():
@@ -504,7 +502,7 @@ def test_translation_on_refined_lattice_families():
     res = moves.run_sequence(moves.load_script(ident), tg.all_ones_weights(base))
     for z in base.zigzags():
         assert res.profile.per_strand[z.id] == pair(z.homology, (1, 0))
-    b = [list(r) for r in build_j(res.polygon).matrix]
+    b = build_j(res.polygon)
     assert [res.profile.per_edge[i] for i in range(4)] == mat_vec(b, [1, 0])
     assert moves.is_trivial(res)
 

@@ -1,14 +1,16 @@
-"""Traced move scripts: a cache hit gives what a full run gives, and the cache keeps its contract."""
+"""Traced move scripts: a cache hit gives what a full run gives, and a graph's traces live as long as it."""
 
 import dataclasses
 import functools
+import gc
 import os
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from dimermod import DimermodError, moves, torusgraph as tg
+from dimermod import DimermodError, moves, spectral as sp, torusgraph as tg
 from dimermod.suites import bundled_script
 from test_fuzz_moves import (
     ROUND_TRIPS,
@@ -21,9 +23,19 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(autouse=True)
-def own_traces(monkeypatch):
-    """Each test starts from an empty trace cache; the process's cache is put back after it."""
-    monkeypatch.setattr(moves, "_traces", {})
+def fresh_catalog_graphs():
+    """Each test starts from catalog graphs that have traced nothing yet."""
+    tg._catalog_graph.cache_clear()
+
+
+def traces(graph):
+    """The trace table a graph, or the catalog graph of that name, keeps."""
+    g = tg.resolve_graph(graph) if isinstance(graph, str) else graph
+    return g.derived(moves._trace_table)
+
+
+def _text(script):
+    return repr((script.moves, script.closing))
 
 
 def run_sequence_uncached(script, weights):
@@ -131,10 +143,10 @@ def test_hit_and_miss_match_the_uncached_run(name):
     script = SCRIPTS[name]()
     ones = tg.all_ones_weights(tg.resolve_graph(script.graph))
     for weights, zero_at in _draws(script, random.Random(name)):
-        moves._traces.clear()
+        traces(script.graph).clear()
         cold = _outcome(moves.run_sequence, script, weights)
         _outcome(moves.run_sequence, script, ones)
-        assert len(moves._traces) == (name != "strand_walk")
+        assert len(traces(script.graph)) == (name != "strand_walk")
         hit = _outcome(moves.run_sequence, script, weights)
         want = _outcome(run_sequence_uncached, script, weights)
         assert cold == want and hit == want
@@ -164,7 +176,7 @@ def test_zero_delta_before_a_bad_move_wins_on_every_call():
         with pytest.raises(moves.MoveNotApplicable) as err:
             run(script, ones)
         assert str(err.value) == "no vertex nope to contract"
-    assert moves._traces == {}
+    assert traces(script.graph) == {}
 
 
 def test_a_result_changed_by_its_caller_leaves_the_next_call_unchanged():
@@ -185,7 +197,7 @@ def test_a_result_changed_by_its_caller_leaves_the_next_call_unchanged():
 
 
 def test_the_cache_keeps_at_most_its_bound_least_recently_used_out():
-    """Translations by distinct deck vectors are distinct scripts over one catalog graph."""
+    """Translations by distinct deck vectors are distinct scripts; the bound is per graph."""
     base = tg.resolve_graph("square_lattice")
     identity = {
         "vertex_map": {v: v for v in base.vertices},
@@ -199,11 +211,16 @@ def test_the_cache_keeps_at_most_its_bound_least_recently_used_out():
     for script in scripts:
         moves.run_sequence(script, ones)
         moves.run_sequence(scripts[0], ones)  # the first script stays the most recently used
-    assert len(moves._traces) == moves._TRACES_KEPT
-    kept = {text for _, text in moves._traces}
-    assert moves._trace_key(scripts[0], base)[1] in kept
-    assert moves._trace_key(scripts[1], base)[1] not in kept
-    assert moves._trace_key(scripts[-1], base)[1] in kept
+    kept = traces(base)
+    assert len(kept) == moves._TRACES_KEPT
+    assert _text(scripts[0]) in kept
+    assert _text(scripts[1]) not in kept
+    assert _text(scripts[-1]) in kept
+    h = tg.resolve_graph("honeycomb")
+    own = {"vertex_map": {v: v for v in h.vertices}, "edge_map": {e: e for e in h.edges}}
+    moves.run_sequence(moves.MoveScript("honeycomb", [], own), tg.all_ones_weights(h))
+    assert len(traces("honeycomb")) == 1 and len(traces(base)) == moves._TRACES_KEPT
+    assert _text(scripts[0]) in traces(base)
 
 
 def test_a_script_with_a_move_that_has_no_recipe_is_never_kept(monkeypatch):
@@ -220,16 +237,59 @@ def test_a_script_with_a_move_that_has_no_recipe_is_never_kept(monkeypatch):
     monkeypatch.setattr(moves, "spider_move", without_recipe)
     for n in (1, 2):
         assert _outcome(moves.run_sequence, script, weights) == want
-        assert moves._traces == {} and len(calls) == 2 * n
+        assert traces(script.graph) == {} and len(calls) == 2 * n
 
 
-def test_a_base_that_is_not_the_shared_catalog_graph_is_never_kept():
+def test_a_callers_own_base_keeps_its_traces_and_they_die_with_it(monkeypatch):
     script = moves.load_script(bundled_script("domino_shuffle"))
     own = tg.catalog(script.graph).graph
     weights = tg.all_ones_weights(own)
+    want = _outcome(run_sequence_uncached, script, weights)
+    tracked = []
+    track = moves._track_strands
+    monkeypatch.setattr(moves, "_track_strands", lambda *args: tracked.append(1) or track(*args))
     first = moves.run_sequence(script, weights, own)
-    assert moves._traces == {}
-    assert _outcome(lambda s, w: first, script, weights) == _outcome(run_sequence_uncached, script, weights)
+    assert list(traces(own)) == [_text(script)] and traces(script.graph) == {}
+    assert _outcome(lambda s, w: first, script, weights) == want
+    assert _outcome(lambda s, w: moves.run_sequence(s, w, own), script, weights) == want
+    assert len(tracked) == 1
+    ref = weakref.ref(own)
+    del own, first
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_graph_keeps_its_plan_traces_and_abel_map_while_it_lives():
+    """A graph the caller built keeps what it derived; a move's graph starts with none of it."""
+    g = tg.catalog("square_lattice").graph
+    weights = tg.random_weights(g, random.Random(5))
+    p = sp.kasteleyn_polynomial(g, weights)
+    plan = g.derived(sp._Plan)
+    assert plan.region is not None and sp.kasteleyn_polynomial(g, weights) == p
+    assert g.derived(sp._Plan) is plan
+    abel = sp.discrete_abel_map(g)
+    assert sp.discrete_abel_map(g) is abel and abel.graph is g
+    moves.run_sequence(moves.load_script(bundled_script("domino_shuffle")), weights, g)
+    assert len(traces(g)) == 1
+    out = moves.spider_move(g, weights, "f0").graph
+    assert out._derived == {}
+    assert sp.discrete_abel_map(out) is not abel and out.derived(sp._Plan) is not plan
+    ref = weakref.ref(g)
+    del g, plan, abel
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_catalog_graph_evicted_from_the_catalog_cache_is_collectable():
+    """Its traces hold no reference that outlives it, so a graph no call can reach again is freed."""
+    script = moves.load_script(bundled_script("domino_shuffle"))
+    moves.run_sequence(script, tg.all_ones_weights(tg.resolve_graph(script.graph)))
+    ref = weakref.ref(tg.resolve_graph(script.graph))
+    assert len(traces(ref())) == 1
+    for k in range(2, tg._catalog_graph.cache_info().maxsize + 2):
+        tg.resolve_graph("honeycomb_%d" % k)
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize(
