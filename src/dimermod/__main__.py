@@ -1,0 +1,8 @@
+"""`python -m dimermod`: the command-line front end, as the `dimermod` script runs it."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -70,9 +70,13 @@ def _json_text(x, ind="\n"):
     """x as json.dumps(x, indent=2, sort_keys=True) writes it, after the newline and indentation ind.
 
     json falls back to its pure-Python encoder when an indent is set.  This
-    writer gives the same text with one call per value: strs and exact ints
-    are written here, a list of scalars is joined in one step, and any other
-    scalar goes through json.dumps.
+    writer gives the same text with no call per scalar: a str or an exact int
+    inside a list or dict is written inline, and only containers and other
+    scalars (bools, None, floats, through json.dumps) recurse.  A list of
+    lists (of darts, say) is written in one nested comprehension, and a dict
+    of five or more str keys with str or int values (an `abel map` row, a
+    weight table) by json's C encoder, whose item separator carries the
+    newline and indent.
     """
     t = type(x)
     if t is str:
@@ -83,19 +87,44 @@ def _json_text(x, ind="\n"):
         if not x:
             return "{}"
         inner = ind + "  "
-        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in sorted(x.items())]
+        if len(x) >= 5 and set(map(type, x)) == {str} and set(map(type, x.values())) <= {str, int}:
+            return "{" + inner + _flat_dict_encoder(inner)(x)[1:-1] + ind + "}"
+        items = [
+            (_quote(k) if type(k) is str else _json_key(k))
+            + ": "
+            + (_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _json_text(v, inner))
+            for k, v in sorted(x.items())
+        ]
         return "{" + inner + ("," + inner).join(items) + ind + "}"
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
         inner = ind + "  "
-        items = map(_json_text, x)  # a list of scalars in one join
-        for v in x:
-            if isinstance(v, (dict, list, tuple)):
-                items = [_json_text(v, inner) for v in x]
-                break
+        if set(map(type, x)) <= {list, tuple}:  # a list of lists, each written here
+            deeper = inner + "  "
+            sep = "," + deeper
+            items = [
+                "["
+                + deeper
+                + sep.join(
+                    [_quote(a) if type(a) is str else int.__repr__(a) if type(a) is int else _json_text(a, deeper) for a in v]
+                )
+                + inner
+                + "]"
+                if v
+                else "[]"
+                for v in x
+            ]
+        else:
+            items = [_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _json_text(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(items) + ind + "]"
     return json.dumps(x)
+
+
+@functools.cache
+def _flat_dict_encoder(inner):
+    """json's C encoder for a dict of scalars, as `_json_text` nests it at indentation inner."""
+    return json.JSONEncoder(sort_keys=True, check_circular=False, separators=("," + inner, ": ")).encode
 
 
 def _json_key(k):

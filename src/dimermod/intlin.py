@@ -256,17 +256,16 @@ class Elimination:
         run is skipped and its pending factor p_k / `prev` is applied by the
         next step with a nonzero entry, which divides by `prev` instead of
         p_{k-1}, or at the end.  Each division stays exact, since it gives
-        the entry the unskipped steps would.
+        the entry the unskipped steps would.  The row is copied once, and
+        each step pops its column's entry from the copy.
         """
+        row = list(row)
         prev = last = self.start
         for k, p, top in self.steps:
-            x = row[k]
-            rest = row[:k] + row[k + 1 :]
+            x = row.pop(k)
             if x:
-                row = [(a * p - x * u) // prev for a, u in zip(rest, top)]
+                row = [(a * p - x * u) // prev for a, u in zip(row, top)]
                 prev = p
-            else:
-                row = rest
             last = p
         if prev != last:
             row = [a * last // prev for a in row]

@@ -502,12 +502,13 @@ class AbelMap:
         return {z: m[0] * self.shift_x[z] + m[1] * self.shift_y[z] for z in self.shift_x}
 
     def to_json(self):
+        """Copies of the tables, in their own key order; the CLI writer sorts the keys."""
         return {
             "base": self.base_vertex,
-            "values": {v: dict(sorted(self.values[v].items())) for v in sorted(self.values)},
-            "lifts": {v: list(self.base_positions[v]) for v in sorted(self.values)},
-            "div_chi_10": dict(sorted(self.shift_x.items())),
-            "div_chi_01": dict(sorted(self.shift_y.items())),
+            "values": {v: dict(row) for v, row in self.values.items()},
+            "lifts": {v: list(self.base_positions[v]) for v in self.values},
+            "div_chi_10": dict(self.shift_x),
+            "div_chi_01": dict(self.shift_y),
         }
 
 

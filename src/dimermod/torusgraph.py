@@ -531,11 +531,14 @@ def check_minimality(g):
     m = q_a + s*h_a - q_b - t*h_b for lift shifts s, t (q: lift of the edge's
     white end), at index i + s*|A| along A0 and j + t*|B| along B + m.  Pairs
     of lifts up to deck translation are the classes of m modulo <h_a, h_b>,
-    and m is the canonical representative of its class.  One Hermite form of
-    the lattice stacked over the identity is taken per pair of paths
-    (`intlin.stacked_hermite`); reducing (c, 0, 0) by it, c = q_a - q_b,
+    and m is the canonical representative of its class.  The lattice depends
+    only on the ordered pair of classes (h_a, h_b), so one Hermite form of it
+    stacked over the identity is taken per ordered pair of classes that
+    occurs (`intlin.stacked_hermite`): 8 on `square_lattice_k` and 4 on
+    `honeycomb_k` for every k >= 2.  Reducing (c, 0, 0) by it, c = q_a - q_b,
     gives (m, s, t) at once, and for parallel paths its kernel column is the
-    period of the pair of lifts.
+    period of the pair of lifts.  Transverse lifts that cross once hold no
+    bigon, so such a pair of lifts is not searched.
     """
     zigzags = g.zigzags()
     for z in zigzags:
@@ -552,14 +555,16 @@ def check_minimality(g):
     for k, z in enumerate(zigzags):
         for i, (d, p) in enumerate(zip(z.darts, z.positions)):
             at[d] = (k, i, p if d[1] > 0 else poly.vadd(p, g.dart_disp(d)))
-    lattices = {}  # (a, b) -> stacked Hermite form of <h_a, h_b>
+    lattices = {}  # (h_a, h_b) -> stacked Hermite form of <h_a, h_b>
     classes = {}
     for e in g.edges:
         (a, i, qa), (b, j, qb) = sorted((at[(e, 1)], at[(e, -1)]))
         za, zb = zigzags[a], zigzags[b]
-        if (a, b) not in lattices:
-            lattices[a, b] = intlin.stacked_hermite(_lift_lattice(za, zb))
-        m0, m1, s, t = intlin.reduce_mod_hermite((*poly.vsub(qa, qb), 0, 0), *lattices[a, b])
+        pair = za.homology, zb.homology
+        form = lattices.get(pair)
+        if form is None:
+            form = lattices[pair] = intlin.stacked_hermite(_lift_lattice(*pair))
+        m0, m1, s, t = intlin.reduce_mod_hermite((*poly.vsub(qa, qb), 0, 0), *form)
         classes.setdefault((a, b, (m0, m1)), []).append((i + s * len(za.darts), j + t * len(zb.darts)))
     for (a, b, m), crossings in sorted(classes.items()):
         za, zb = zigzags[a], zigzags[b]
@@ -567,17 +572,19 @@ def check_minimality(g):
         if poly.cross(za.homology, zb.homology) == 0:
             # parallel paths: shifting A0 by s*h_a and B + m by t*h_b maps the pair of
             # lifts to itself, for (s, t) the kernel column of the stacked form
-            h = lattices[a, b][0]
+            h = lattices[za.homology, zb.homology][0]
             s, t = h[2][1], h[3][1]
             period = (abs(s) * len(za.darts), (t if s > 0 else -t) * len(zb.darts))
+        elif len(crossings) == 1:
+            continue
         if _has_parallel_bigon(crossings, period):
             return False, {"kind": "parallel_bigon", "paths": [za.id, zb.id], "offset": list(m)}
     return True, None
 
 
-def _lift_lattice(za, zb):
+def _lift_lattice(ha, hb):
     """The map (s, t) -> s*h_a - t*h_b, as the matrix with columns h_a and -h_b."""
-    return [[za.homology[0], -zb.homology[0]], [za.homology[1], -zb.homology[1]]]
+    return [[ha[0], -hb[0]], [ha[1], -hb[1]]]
 
 
 def _has_parallel_bigon(crossings, period):
@@ -828,14 +835,21 @@ def _honeycomb_block_graph(k):
 
 
 def _refinement(name, prefix):
+    """k for the catalog name prefix_k, 1 for the bare prefix.
+
+    The suffix must be k written as str(k) writes it, k >= 1: no sign,
+    space, leading zero or non-ASCII digit.  Any other name is not a
+    catalog name, so `resolve_graph` reads it as a file path.
+    """
     if name == prefix:
         return 1
     if name.startswith(prefix + "_"):
+        suffix = name[len(prefix) + 1 :]
         try:
-            k = int(name.rsplit("_", 1)[1])
+            k = int(suffix)
         except ValueError:
             raise UnknownCatalogEntry(name)
-        if k >= 1:
+        if k >= 1 and str(k) == suffix:
             return k
     raise UnknownCatalogEntry(name)
 

@@ -569,11 +569,19 @@ _SCALARS = (
 )
 
 
+_FLAT = st.integers() | _TEXT  # the values of a dict the C encoder writes
+_FLAT_LISTS = st.lists(_SCALARS, max_size=4) | st.lists(_SCALARS, max_size=4).map(tuple)
+
+
 def _nested(children):
     return (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
+        | st.lists(_FLAT_LISTS, max_size=6)
+        | st.lists(_FLAT_LISTS, max_size=6).map(tuple)
         | st.dictionaries(_TEXT, children, max_size=4)
+        | st.dictionaries(_TEXT, _FLAT, min_size=5, max_size=12)
+        | st.dictionaries(_TEXT, _FLAT | st.booleans() | st.none() | st.floats(), max_size=12)
         | st.dictionaries(st.integers() | st.booleans() | st.floats(allow_nan=False), children, max_size=3)
         | st.dictionaries(st.none(), children, max_size=1)
     )
@@ -588,11 +596,67 @@ def test_emit_matches_json_dumps(payload):
     assert out.getvalue() == _json_reference(payload)
 
 
+_ROW = {"z%d" % i: i - 3 if i % 2 else "v%d" % i for i in range(7)}
+
+
+@pytest.mark.parametrize(
+    "payload, fast",
+    [
+        ({"a": {"b": _ROW}}, 1),  # a flat dict at depth 3, through the C encoder
+        ({"a": [{"b": _ROW, "c": dict(_ROW, z9=10**40)}]}, 2),
+        ({"a": {"b": dict(_ROW, z1=True)}}, 0),  # a bool, None or float keeps it off that branch
+        ({"a": {"b": dict(_ROW, z1=None)}}, 0),
+        ({"a": {"b": dict(_ROW, z1=0.5)}}, 0),
+        ({"a": {"b": {k: _ROW[k] for k in list(_ROW)[:4]}}}, 0),  # and so do four entries
+        ({"a": {"b": [[1, "x"], [], ("y", -2), (), [None, True, 1.5, 10**30]]}}, 0),  # a list of flat lists
+        ({"a": [[[[1, [2]], ({"k": 0},)], []]]}, 0),  # lists of lists that are not flat
+    ],
+)
+def test_emit_fast_branches_at_depth(payload, fast, monkeypatch):
+    calls = []
+    encoder = cli._flat_dict_encoder
+    monkeypatch.setattr(cli, "_flat_dict_encoder", lambda inner: calls.append(inner) or encoder(inner))
+    assert cli._json_text(payload) + "\n" == _json_reference(payload)
+    assert len(calls) == fast
+
+
 def test_emit_refuses_keys_json_refuses():
     with pytest.raises(TypeError, match="not tuple"):
         json.dumps({(1, 2): 0}, indent=2)
     with pytest.raises(TypeError, match="not tuple"):
         cli._emit({(1, 2): 0})
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["honeycomb_x_2", "square_lattice_foo_3", "honeycomb_+2", "square_lattice_3 ", "honeycomb_01", "honeycomb_\u0662",
+     "honeycomb_0", "square_lattice_-1", "honeycomb_", "honeycomb2"],
+)
+def test_catalog_names_are_strict(name, tmp_path, capsys, monkeypatch):
+    """Only the bare name and name_k with k written as str(k), k >= 1, are catalog graphs; the rest are paths."""
+    with pytest.raises(tg.UnknownCatalogEntry):
+        tg.catalog(name)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["graph", "check", "--graph", name]) == 2
+    assert "No such file" in capsys.readouterr().err
+
+
+def test_catalog_names_resolve():
+    for family, sides in (("honeycomb", 3), ("square_lattice", 4)):
+        for k in (1, 2, 9, 10, 12):
+            name = family if k == 1 else "%s_%d" % (family, k)
+            assert tg.catalog(name).newton.edge_data()[0].multiplicity == k, name
+            assert len(tg.catalog(name).newton.vertices) == sides
+        assert tg.catalog(family + "_1").newton == tg.catalog(family).newton
+
+
+def test_python_m_dimermod_runs_the_cli(tmp_path, capsys, monkeypatch):
+    """`python -m dimermod` prints what cli.main prints and exits with its code."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    monkeypatch.chdir(tmp_path)
+    for argv, code in ((["graph", "newton", "--graph", "honeycomb_2"], 0), (["graph", "check", "--graph", "honeycomb_01"], 2)):
+        run = subprocess.run([sys.executable, "-m", "dimermod"] + argv, env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == _run(capsys, argv) and run.returncode == code, argv
 
 
 def test_catalog_graph_is_built_once_per_process():

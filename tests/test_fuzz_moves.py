@@ -404,18 +404,30 @@ def _monodromies_one_solve_per_target(g, weights):
     return tuple(out)
 
 
-def test_minimality_takes_one_lattice_per_zigzag_pair(monkeypatch):
-    """One Hermite form and no Smith form per pair of crossing paths, and the windowed search's answer."""
+def _crossing_class_pairs(g):
+    """The ordered pairs (h_a, h_b) of classes of the two paths through an edge, path a first."""
+    index = {z.id: (k, z.homology) for k, z in enumerate(g.zigzags())}
+    pairs = set()
+    for e in g.edges:
+        (_, ha), (_, hb) = sorted(index[g.zigzag_of_dart((e, s))] for s in (1, -1))
+        pairs.add((ha, hb))
+    return pairs
+
+
+def test_minimality_takes_one_lattice_per_class_pair(monkeypatch):
+    """One Hermite form and no Smith form per ordered pair of classes, and the windowed search's answer."""
     for g in [tg.catalog(n).graph for n in tg.CATALOG_NAMES] + [g for g, _ in walk_graphs()]:
         check_minimality_against_window(g)
-    g = tg.catalog("square_lattice_4").graph
     forms = []
     for name in ("column_hermite", "smith_normal_form"):
         monkeypatch.setattr(intlin, name, lambda b, name=name, f=getattr(intlin, name): forms.append(name) or f(b))
-    assert tg.check_minimality(g) == (True, None)
-    pairs = {tuple(sorted((g.zigzag_of_dart((e, 1)), g.zigzag_of_dart((e, -1))))) for e in g.edges}
-    assert len(pairs) == 64
-    assert forms == ["column_hermite"] * len(pairs)
+    for name, count in (("square_lattice_4", 8), ("honeycomb_8", 4)):
+        g = tg.catalog(name).graph
+        assert len(_crossing_class_pairs(g)) == count
+        for _ in range(2):  # the forms are taken again on every call
+            forms.clear()
+            assert tg.check_minimality(g) == (True, None)
+            assert forms == ["column_hermite"] * count, name
 
 
 def test_torus_monodromies_match_one_solve_per_target(monkeypatch):

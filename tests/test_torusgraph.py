@@ -180,16 +180,19 @@ def test_minimality_of_catalog():
         assert check_minimality_against_window(tg.catalog(name).graph) is None, name
 
 
-def test_doubled_edge_not_minimal():
-    data = tg.catalog("square_lattice").graph.to_json()
-    # double the edge h0,0 (black b0,0 - white w1,0), forming a bigon face
-    data["edges"].append({"id": "dup", "black": "b0,0", "white": "w1,0", "disp": [0, 0]})
+def _doubled_edge(g, e):
+    """g with a twin of edge e just clockwise of it at the black end, so the two bound a bigon face."""
+    data = g.to_json()
+    black, white, disp = g.edges[e]
+    data["edges"].append({"id": "dup", "black": black, "white": white, "disp": list(disp)})
     rot = data["rotations"]
-    i = rot["b0,0"].index("h0,0")
-    rot["b0,0"] = rot["b0,0"][:i] + ["dup"] + rot["b0,0"][i:]
-    j = rot["w1,0"].index("h0,0")
-    rot["w1,0"] = rot["w1,0"][: j + 1] + ["dup"] + rot["w1,0"][j + 1 :]
-    g = tg.validate_graph(data)
+    rot[black].insert(rot[black].index(e), "dup")
+    rot[white].insert(rot[white].index(e) + 1, "dup")
+    return tg.validate_graph(data)
+
+
+def test_doubled_edge_not_minimal():
+    g = _doubled_edge(tg.catalog("square_lattice").graph, "h0,0")
     assert len(g.faces()) == 5
     ok, cert = tg.check_minimality(g)
     assert not ok
@@ -288,6 +291,20 @@ def check_minimality_against_window(g):
         buckets, inner = _window_crossings(g, za, zb)
         assert _window_bigon(buckets.get(tuple(cert["offset"]), []), inner), cert
     return cert
+
+
+def test_minimality_equals_the_windowed_search_on_catalog_and_doubled_graphs():
+    """The whole answer, certificate included, on larger graphs than the fuzz reaches."""
+    names = ["square_lattice"] + ["square_lattice_%d" % k for k in range(2, 5)]
+    names += ["honeycomb"] + ["honeycomb_%d" % k for k in range(2, 9)]
+    for name in names:
+        g = tg.catalog(name).graph
+        assert tg.check_minimality(g) == windowed_minimality(g) == (True, None), name
+    for name in ("square_lattice_2", "honeycomb_4"):
+        base = tg.catalog(name).graph
+        for e in base.edges:
+            g = _doubled_edge(base, e)
+            assert tg.check_minimality(g) == windowed_minimality(g), (name, e)
 
 
 def _random_torus_graph(rng):
