@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 failed verification assertion, 2 input error.
+Exit codes: 0 success, 1 failed verification assertion, 2 input error,
+141 (128 + SIGPIPE) when the reader closes stdout before the report is
+written, as `| head` does.
 Reports are deterministic for identical inputs and seed; timings, in total,
 per suite and per check, are only attached under --timing so that
 byte-identical reruns stay the default.
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
@@ -386,7 +389,14 @@ def _parse(argv):
 def main(argv=None):
     args = _parse(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at /dev/null, so the interpreter's last flush of what
+        # is still buffered stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

@@ -131,13 +131,6 @@ def solve_stacked(y, h, pivots):
     return [-x for x in out[len(y) :]]
 
 
-def solve_integer(b, y):
-    """An integer x with B x = y, or None if there is none (`solve_stacked`)."""
-    if len(y) != len(b):
-        raise DimensionMismatch("rhs length != rows")
-    return solve_stacked(y, *stacked_hermite(b))
-
-
 def kernel_basis(b):
     """Columns forming a saturated Z-basis of {x : B x = 0} (`stacked_hermite`)."""
     rows, cols = mat_shape(b)

@@ -705,17 +705,6 @@ def _profile_from_fates(base, base_poly, labels, fates):
     return TranslationProfile(per_strand=per_strand, per_edge=per_edge, reduced=reduced)
 
 
-def psi(result, polygon=None):
-    """The reduced translation class in Z^{E_N}_0 / j H_1.
-
-    A polygon may be passed to assert it is the Newton polygon the sequence
-    was computed against (up to translation).
-    """
-    if polygon is not None and not poly.translation_equal(polygon, result.polygon):
-        raise MoveError("sequence does not belong to the given polygon")
-    return result.profile.reduced
-
-
 def is_trivial(result):
     """Triviality of the cluster transformation, split by the genus case."""
     if result.genus >= 1:

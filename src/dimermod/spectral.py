@@ -1,15 +1,18 @@
 """Kasteleyn characteristic polynomial and the discrete Abel map.
 
 Laurent polynomials in (z, w) are sparse maps from integer exponent pairs to
-exact rationals.  det K(z, w) is found by evaluation and interpolation: after
-a monomial shift and a rational scale per row, K has integer polynomial
-entries, and integer determinants (Bareiss) at integer nodes are
-interpolated exactly, row of w-exponents by row.  The rows' exponent spans
-bound the support by a box; until a call with positive weights has learned
-the support, its matching polygon, which holds the support for any weights,
-calls on a graph evaluate on that box, and after it only on the support,
-which the graph keeps with its plan.  The cost is polynomial in the number
-of vertices; nothing is floating point.
+exact rationals.  det K(z, w) is found by evaluation: after a monomial shift
+and a rational scale per row, K has integer polynomial entries, whose
+exponent spans bound the support by a box and whose coefficients bound every
+coefficient of the determinant.  If the box, times the bits of that bound,
+is small (`PACK_BITS`), one integer determinant (Bareiss) at a packed node
+z = 2^B, w = z^(Dz+1) holds every coefficient as a base-2^B digit
+(Kronecker substitution).  Otherwise integer determinants at small integer
+nodes are interpolated exactly, row of w-exponents by row: until a call with
+positive weights has learned the support, its matching polygon, which holds
+the support for any weights, calls on a graph evaluate on the box, and after
+it only on the support, which the graph keeps with its plan.  The cost is
+polynomial in the number of vertices; nothing is floating point.
 """
 
 from __future__ import annotations
@@ -20,6 +23,13 @@ from math import lcm
 
 from . import DimermodError, intlin, polygon as poly
 from .torusgraph import GraphError, UnbalancedColors, WHITE
+
+# The largest packed node of `laurent_det`, (Dz+1)(Dw+1)B bits, that it takes
+# instead of the node loop.  Measured crossover (2 vCPU, Python 3.11): the
+# packed node is 1.2x faster at 8.3 k bits (honeycomb_8, weights 1) and 0.9x
+# at 12.3 k (square_lattice_5); CPython's long division is quadratic, so
+# bigger nodes lose.
+PACK_BITS = 8192
 
 
 class ZeroPolynomial(DimermodError):
@@ -118,20 +128,25 @@ def normalized_poly(p):
     solutions also differ by the H^1(T, Z_2) twists (z, w) -> (+-z, +-w), so
     the normalization additionally picks the lexicographically smallest of
     the four twisted forms.  A twist keeps the origin's coefficient 1, so
-    each form is the monic one with some signs flipped.
+    each form is the monic one with some signs flipped.  Two twists give the
+    same form up to the first term, in sorted order, on which their signs
+    differ, and there the smaller form is the negative one; so the least
+    form is found by that rule, term by term, and its signs are flipped once.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot normalize the zero polynomial")
     ci, cj = min(p.terms)
     lead = p.terms[ci, cj]
     monic = sorted(((i - ci, j - cj), c / lead) for (i, j), c in p.terms.items())
-    best = min(
-        [((i, j), c * (sx if i % 2 else 1) * (sy if j % 2 else 1)) for (i, j), c in monic]
-        for sx in (1, -1)
-        for sy in (1, -1)
-    )
+    twists = [(False, False), (False, True), (True, False), (True, True)]  # flip odd i, flip odd j
+    for (i, j), c in monic:
+        if len(twists) == 1:
+            break
+        negative = [(fx, fy) for fx, fy in twists if (c < 0) != ((fx and i % 2 == 1) != (fy and j % 2 == 1))]
+        twists = negative or twists
+    fx, fy = twists[0]
     out = LaurentPoly2()
-    out.terms = dict(best)
+    out.terms = {(i, j): -c if (fx and i % 2 == 1) != (fy and j % 2 == 1) else c for (i, j), c in monic}
     return out
 
 
@@ -238,9 +253,10 @@ def kasteleyn_polynomial(g, weights):
     """det K(z, w) for the signed, homology-graded Kasteleyn matrix.
 
     The integer rows are built from the graph's plan, kept on the graph.
-    A call evaluates on the degree box until a call with every weight
-    positive has learned the support; after that, on the support's rows
-    alone.  That is exact by Kenyon-Okounkov-Sheffield (Dimers and amoebae,
+    A small determinant is read from one packed node (`laurent_det`).  On
+    the node path a call evaluates on the degree box until a call with every
+    weight positive has learned the support; after that, on the support's
+    rows alone.  That is exact by Kenyon-Okounkov-Sheffield (Dimers and amoebae,
     section 3): with Kasteleyn signs on the torus, all perfect matchings of
     one homology class carry the same sign in det K.  So under positive
     weights every class has a nonzero coefficient, and under any weights the
@@ -266,6 +282,13 @@ def laurent_det(mat, rows=None):
     s_r of its coefficient denominators, which leaves integer polynomials.
     Every term of the determinant takes one entry from each row, so its
     degrees are at most the sums Dz, Dw of the rows' exponent spans.  The
+    determinant's coefficients are at most prod_r sum_t |c_rt| in size, over
+    the rows' integer coefficients c_rt, so below 2^(B-1) with B that bound's
+    bit length plus one.  If (Dz+1)(Dw+1)B <= PACK_BITS, the determinant is
+    taken once, at z = 2^B and w = 2^(B(Dz+1)), where it is the sum of
+    c_ik 2^(B(i + (Dz+1)k)) over the coefficients c_ik of z^i w^k: its
+    balanced base-2^B digits, read from the lowest, are the coefficients,
+    and a value left over beyond the box raises ArithmeticError.  Else the
     determinant is evaluated on a region given by rows: for w-exponent j,
     the z-exponents lo_j..hi_j.  `rows` holds them in absolute exponents,
     one (j, lo_j, hi_j) per w-exponent, and is clipped to the box; by default the region is
@@ -279,12 +302,13 @@ def laurent_det(mat, rows=None):
     is known.  The open rows span j1..j2; the integer determinant is taken
     at w-nodes b = 1..j2-j1+1, the finished rows are subtracted, and the
     rest, divided by b^j1, is interpolated in w; each open row's value,
-    divided by a^lo_j, is g_j(a).  So the region costs sum_j (W_j + 1)
-    determinants, not (Dz+1)(Dw+1).  Every division is exact, and each is
+    divided by a^lo_j, is g_j(a).  So on this node path the region costs
+    sum_j (W_j + 1) determinants, not (Dz+1)(Dw+1); the packed node, which
+    does not read the region, costs one.  Every division is exact, and each is
     checked with an ArithmeticError, as is a zero coefficient at each
     finished or absent row between j1 and j2.
 
-    Those determinants share one Bareiss elimination, staged by what a row
+    The determinants share one Bareiss elimination, staged by what a row
     depends on: the rows free of z and w are eliminated once, the rows in z
     alone once per z-node, and only the remaining rows at every node.  Each
     stage reduces once every column that a later row uses, so it reduces a
@@ -317,6 +341,36 @@ def _scaled_det(scaled, region):
         scale *= m
         stage = 2 if hi_j > lo_j else 1 if hi_i > lo_i else 0
         stages[stage].append((r, [(col, i - lo_i, j - lo_j, c) for col, i, j, c in terms]))
+    const, zonly, rest = ([terms for _, terms in stage] for stage in stages)
+    # With no steps taken, reduce_sum writes a row out over all the columns.
+    whole = intlin.Elimination(range(len(scaled)))
+    first = whole.extend([whole.reduce_sum(_evaluate(t, [1], [1]).items()) for t in const])
+    if first is None:
+        return LaurentPoly2()
+    sign = _perm_sign([r for stage in stages for r, _ in stage]) * first.sign
+
+    def z_stage(pa):
+        """`first` continued by the rows in z alone at these powers of z, or None if they are dependent."""
+        return first.continued().extend([first.reduce_sum(_evaluate(t, pa, [1]).items()) for t in zonly])
+
+    def det_at(second, pa, pb):
+        """The integer determinant at the node with these powers of z and w, from its `z_stage`."""
+        if second is None:
+            return 0
+        third = second.continued().extend([second.reduce_sum(_evaluate(t, pa, pb).items()) for t in rest])
+        return 0 if third is None else sign * second.sign * third.sign * third.pivot
+
+    bits = _coefficient_bound(scaled).bit_length() + 1
+    if (dz + 1) * (dw + 1) * bits <= PACK_BITS:
+        # Kronecker substitution: at z = 2^bits, w = z^(Dz+1) the determinant
+        # is sum_k c_k 2^(bits k) with c_k the coefficient of z^(k mod (Dz+1))
+        # w^(k div (Dz+1)), read back as balanced base-2^bits digits.
+        pa = [1 << bits * k for k in range(dz + 1)]
+        v = det_at(z_stage(pa), pa, [1 << bits * (dz + 1) * k for k in range(dw + 1)])
+        digits = _balanced_digits(v, bits, (dz + 1) * (dw + 1))
+        return LaurentPoly2(
+            {(k % (dz + 1) + shift_z, k // (dz + 1) + shift_w): Fraction(c, scale) for k, c in enumerate(digits) if c}
+        )
     if region is None:
         rows = [(j, 0, dz) for j in range(dw + 1)]
     else:
@@ -325,34 +379,20 @@ def _scaled_det(scaled, region):
             for j, lo, hi in sorted(region)
             if shift_w <= j <= shift_w + dw and lo - shift_z <= dz and hi >= shift_z
         ]
-    const, zonly, rest = ([terms for _, terms in stage] for stage in stages)
-    # With no steps taken, reduce_sum writes a row out over all the columns.
-    whole = intlin.Elimination(range(len(scaled)))
-    first = whole.extend([whole.reduce_sum(_evaluate(t, [1], [1]).items()) for t in const])
-    if first is None or not rows:
+    if not rows:
         return LaurentPoly2()
-    sign = _perm_sign([r for stage in stages for r, _ in stage]) * first.sign
     values = {j: [] for j, _, _ in rows}  # g_j(1), g_j(2), ...
     found = []  # (j, lo_j, coefficients of g_j), once interpolated
     for a in range(1, max(hi - lo for _, lo, hi in rows) + 2):
         pa = [a**k for k in range(dz + 1)]
-        second = first.continued().extend(
-            [first.reduce_sum(_evaluate(t, pa, [1]).items()) for t in zonly]
-        )
+        second = z_stage(pa)
         live = [(j, lo) for j, lo, hi in rows if hi - lo >= a - 1]
         j1, j2 = live[0][0], live[-1][0]
         known = [(j, sum(c * pa[lo + k] for k, c in enumerate(g))) for j, lo, g in found]
         at_b = []
         for b in range(1, j2 - j1 + 2):
             pb = [b**k for k in range(dw + 1)]
-            v = 0
-            if second is not None:
-                third = second.continued().extend(
-                    [second.reduce_sum(_evaluate(t, pa, pb).items()) for t in rest]
-                )
-                if third is not None:
-                    v = sign * second.sign * third.sign * third.pivot
-            at_b.append(_exact_div(v - sum(f * pb[j] for j, f in known), pb[j1]))
+            at_b.append(_exact_div(det_at(second, pa, pb) - sum(f * pb[j] for j, f in known), pb[j1]))
         h = _interpolate(at_b)
         open_rows = {j for j, _ in live}
         if any(h[j - j1] for j in range(j1, j2 + 1) if j not in open_rows):
@@ -366,6 +406,38 @@ def _scaled_det(scaled, region):
             if c:
                 out[(lo + k + shift_z, j + shift_w)] = Fraction(c, scale)
     return LaurentPoly2(out)
+
+
+def _coefficient_bound(scaled):
+    """prod_r sum_t |c_rt| over the rows' integer terms: each coefficient of their determinant is at most this in size.
+
+    A coefficient is a signed sum of products that take one term from each
+    row, and expanding the product of the rows' sums gives each such
+    product, in size, once.
+    """
+    bound = 1
+    for terms, _ in scaled:
+        bound *= sum(abs(t[3]) for t in terms)
+    return bound
+
+
+def _balanced_digits(v, bits, count):
+    """The digits d_k in [-2^(bits-1), 2^(bits-1)) with v = sum_k d_k 2^(bits k), lowest first.
+
+    Raises ArithmeticError (a check that python -O keeps) if `count` digits
+    do not hold v.
+    """
+    mask, half = (1 << bits) - 1, 1 << bits - 1
+    digits = []
+    for _ in range(count):
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        digits.append(d)
+        v = (v - d) >> bits
+    if v:
+        raise ArithmeticError("det K has a coefficient beyond its bound")
+    return digits
 
 
 def _evaluate(terms, pa, pb):

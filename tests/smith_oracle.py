@@ -1,5 +1,6 @@
 """Pivoting Smith normal form with both unimodular transforms, the reference
-for `intlin.smith_normal_form`, `solve_integer` and `kernel_basis`.
+for `intlin.smith_normal_form`, `intlin.kernel_basis` and the integer solver
+`solve_integer` of `test_intlin.py` (`intlin.solve_stacked`).
 
 It picks the smallest nonzero entry as pivot (ties by position) and keeps
 U and V through every row and column operation, so U B V == D.  `intlin`

@@ -659,6 +659,24 @@ def test_python_m_dimermod_runs_the_cli(tmp_path, capsys, monkeypatch):
         assert (run.returncode, run.stdout) == _run(capsys, argv) and run.returncode == code, argv
 
 
+def test_reader_closing_stdout_early_exits_141_without_a_traceback(tmp_path):
+    """A reader that stops after 10 bytes: a report larger than the pipe's buffer exits 141, one that fits exits 0.
+
+    stdout is block-buffered here, so the small report is written whole
+    before the reader can close.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    for argv, code in ((["abel", "map", "--graph", "honeycomb_12"], 141), (["graph", "newton", "--graph", "honeycomb"], 0)):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dimermod"] + argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert (proc.wait(), len(head), err) == (code, 10, ""), argv
+
+
 def test_catalog_graph_is_built_once_per_process():
     g = tg.resolve_graph("square_lattice_2")
     assert tg.resolve_graph("square_lattice_2") is g

@@ -46,6 +46,13 @@ def _matrices(rng, trials):
             yield b
 
 
+def solve_integer(b, y):
+    """An integer x with B x = y, or None if there is none, from B's `stacked_hermite`."""
+    if len(y) != len(b):
+        raise intlin.DimensionMismatch("rhs length != rows")
+    return intlin.solve_stacked(y, *intlin.stacked_hermite(b))
+
+
 def test_snf_of_worked_matrix():
     assert intlin.smith_normal_form(DIAMOND_B) == [1, 2]
     snf = smith_oracle(DIAMOND_B)
@@ -170,7 +177,7 @@ def test_row_lattice_basis_is_lower_triangular():
         # every row of B is in the span of the columns, and the covolumes
         # agree (d1 d2 of the Smith form), so the two lattices are equal
         for row in b:
-            assert intlin.solve_integer([[a, 0], [c, d]], row) is not None
+            assert solve_integer([[a, 0], [c, d]], row) is not None
         d1, d2 = smith_oracle(b).invariant_factors()
         assert a * d == d1 * d2
 
@@ -229,26 +236,26 @@ def test_reduce_mod_image_dimension_check():
 
 
 def test_solve_integer():
-    assert intlin.solve_integer(DIAMOND_B, [-1, 1, 1, -1]) == [1, 0]
-    assert intlin.solve_integer(DIAMOND_B, [1, 0, 0, 0]) is None
+    assert solve_integer(DIAMOND_B, [-1, 1, 1, -1]) == [1, 0]
+    assert solve_integer(DIAMOND_B, [1, 0, 0, 0]) is None
     # (0, -1, 0, 1) = B (-1/2, 1/2) has a rational solution only
-    assert intlin.solve_integer(DIAMOND_B, [0, -1, 0, 1]) is None
+    assert solve_integer(DIAMOND_B, [0, -1, 0, 1]) is None
     # a tall system: the row past the column count must be checked too
-    assert intlin.solve_integer([[2], [4]], [2, 4]) == [1]
-    assert intlin.solve_integer([[2], [4]], [2, 3]) is None
-    assert intlin.solve_integer([[2], [4]], [1, 2]) is None
-    assert intlin.solve_integer([[0], [0]], [0, 1]) is None
+    assert solve_integer([[2], [4]], [2, 4]) == [1]
+    assert solve_integer([[2], [4]], [2, 3]) is None
+    assert solve_integer([[2], [4]], [1, 2]) is None
+    assert solve_integer([[0], [0]], [0, 1]) is None
     with pytest.raises(intlin.DimensionMismatch):
-        intlin.solve_integer(DIAMOND_B, [1, 0])
+        solve_integer(DIAMOND_B, [1, 0])
     # matrices with no columns, and with no rows
-    assert intlin.solve_integer([], []) == []
-    assert intlin.solve_integer([[]], [0]) == []
-    assert intlin.solve_integer([[]], [1]) is None
-    assert intlin.solve_integer([[], []], [0, 0]) == []
-    assert intlin.solve_integer([[], []], [0, -2]) is None
+    assert solve_integer([], []) == []
+    assert solve_integer([[]], [0]) == []
+    assert solve_integer([[]], [1]) is None
+    assert solve_integer([[], []], [0, 0]) == []
+    assert solve_integer([[], []], [0, -2]) is None
     for b, y in (([], [1]), ([[]], []), ([[], []], [0])):
         with pytest.raises(intlin.DimensionMismatch):
-            intlin.solve_integer(b, y)
+            solve_integer(b, y)
 
 
 def test_solve_integer_random_tall_systems():
@@ -265,10 +272,10 @@ def test_solve_integer_random_tall_systems():
     for b in itertools.chain(tall, _matrices(rng, 1), [CYCLING_T, _transpose(CYCLING_T)]):
         rows, cols = len(b), len(b[0])
         y = mat_vec(b, [rng.randint(-5, 5) for _ in range(cols)])
-        x = intlin.solve_integer(b, y)
+        x = solve_integer(b, y)
         assert x is not None and mat_vec(b, x) == y
         y[rng.randrange(rows)] += rng.randint(1, 3)
-        x = intlin.solve_integer(b, y)
+        x = solve_integer(b, y)
         assert (x is not None) == (smith_oracle(b).solve(y) is not None), (b, y)
         assert (x is not None) == (not any(intlin.reduce_mod_image(y, b)))
         if x is None:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimermod import intlin, polygon as poly, spectral as sp, torusgraph as tg
 from dimermod.groups import pair
@@ -229,6 +230,19 @@ def _det_box(mat):
     return sp.LaurentPoly2(out)
 
 
+NODE, PACKED = 0, 1 << 62  # PACK_BITS that force the node path and the packed node
+
+
+def _both_paths(monkeypatch, f, *args):
+    """f(*args) on the packed node and on the node path: the two must be equal."""
+    monkeypatch.setattr(sp, "PACK_BITS", PACKED)
+    packed = f(*args)
+    monkeypatch.setattr(sp, "PACK_BITS", NODE)
+    node = f(*args)
+    assert repr(packed) == repr(node)
+    return packed
+
+
 # exponent offsets a row of each kind draws from, after its own monomial shift
 _ROW_KINDS = {
     "constant": ([0], [0]),
@@ -253,16 +267,16 @@ def _random_row(rng, n, kind):
     return row
 
 
-def test_staged_det_matches_box_on_mixed_rows():
+def test_staged_det_matches_box_on_mixed_rows(monkeypatch):
     rng = random.Random(31)
     kinds = sorted(_ROW_KINDS)
     for n in range(7):
         for _ in range(200):
             mat = [_random_row(rng, n, rng.choice(kinds)) for _ in range(n)]
-            assert sp.laurent_det(mat) == _det_box(mat)
+            assert _both_paths(monkeypatch, sp.laurent_det, mat) == _det_box(mat)
 
 
-def test_staged_det_dependent_constant_rows():
+def test_staged_det_dependent_constant_rows(monkeypatch):
     rng = random.Random(32)
     for n in range(2, 6):
         for _ in range(10):
@@ -272,10 +286,10 @@ def test_staged_det_dependent_constant_rows():
             # a second constant row, a multiple of the first shifted by a monomial
             mat.insert(rng.randint(1, n - 1), [p.scale(Fraction(-3, 2)).shift(1, -1) for p in mat[0]])
             assert _det_box(mat).is_zero()
-            assert sp.laurent_det(mat).is_zero()
+            assert _both_paths(monkeypatch, sp.laurent_det, mat).is_zero()
 
 
-def test_staged_det_z_row_singular_at_one_node():
+def test_staged_det_z_row_singular_at_one_node(monkeypatch):
     """(z - 1) e_c vanishes at the z-node 1 alone, and so does the determinant."""
     rng = random.Random(33)
     z_minus_1 = sp.LaurentPoly2({(1, 0): 1, (0, 0): -1})
@@ -286,7 +300,7 @@ def test_staged_det_z_row_singular_at_one_node():
             mat = [_random_row(rng, n, rng.choice(sorted(_ROW_KINDS))) for _ in range(n - 1)]
             row = [z_minus_1 if col == c else sp.LaurentPoly2() for col in range(n)]
             mat.insert(rng.randint(0, n - 1), row)
-            got = sp.laurent_det(mat)
+            got = _both_paths(monkeypatch, sp.laurent_det, mat)
             assert got == _det_box(mat)
             # z = 1 is a root: at each power of w the coefficients sum to 0
             for j in {j for _, j in got.terms}:
@@ -299,7 +313,7 @@ def test_staged_det_z_row_singular_at_one_node():
     zero = sp.LaurentPoly2()
     mat = [[z, one, zero], [one.scale(2), z + one.scale(-1), zero], [one, z, z.shift(0, 1)]]
     want = sp.LaurentPoly2({(3, 1): 1, (2, 1): -1, (1, 1): -2})  # z w (z - 2)(z + 1)
-    assert sp.laurent_det(mat) == _det_box(mat) == want
+    assert _both_paths(monkeypatch, sp.laurent_det, mat) == _det_box(mat) == want
 
 
 def test_staged_det_zero_rows():
@@ -318,20 +332,20 @@ def test_staged_det_zero_rows():
     + ["honeycomb", "square_lattice"]
     + ["square_lattice_%d" % k for k in range(2, 5)],
 )
-def test_staged_det_matches_box_on_catalog(name):
+def test_staged_det_matches_box_on_catalog(name, monkeypatch):
     rng = random.Random("box " + name)
     g = tg.catalog(name).graph
     mat = sp.kasteleyn_matrix(g, _signed_weights(g, rng))
-    assert sp.laurent_det(mat) == _det_box(mat)
+    assert _both_paths(monkeypatch, sp.laurent_det, mat) == _det_box(mat)
 
 
-def test_staged_det_matches_box_on_walk_graphs():
+def test_staged_det_matches_box_on_walk_graphs(monkeypatch):
     """The walks' moves leave displacements that are not the catalog pattern."""
     rng = random.Random(35)
     for g, w in walk_graphs():
         for weights in (w, _signed_weights(g, rng)):
             mat = sp.kasteleyn_matrix(g, weights)
-            assert sp.laurent_det(mat) == _det_box(mat)
+            assert _both_paths(monkeypatch, sp.laurent_det, mat) == _det_box(mat)
 
 
 def _reduce_every_step(e, row, counts):
@@ -408,8 +422,10 @@ def test_reduce_step_count_on_honeycomb_8(monkeypatch):
     """Of the 5152 steps of the honeycomb_8 determinant on its box (all weights 1), the 2046 with a zero entry do no arithmetic.
 
     The nodes start at 1, where no entry of a row vanishes for being a
-    multiple of z or w.
+    multiple of z or w.  The node path is forced, though its packed box
+    (8343 bits) is past PACK_BITS anyway.
     """
+    monkeypatch.setattr(sp, "PACK_BITS", NODE)
     counts = _checked_reduce(monkeypatch)
     g = tg.catalog("honeycomb_8").graph
     sp.laurent_det(sp.kasteleyn_matrix(g, tg.all_ones_weights(g)))
@@ -477,12 +493,21 @@ def _sparse_weights(g, rng):
     return w
 
 
-def _region_mismatches():
+def _region_mismatches(pack_bits):
     """Per graph, learn the region from positive weights, then compare signed, sparse and positive draws with the box oracle.
 
-    Returns (cases compared, labels of the mismatches); uses no assert, so
-    that it checks the same under python -O.
+    Runs at this PACK_BITS: only the node path reads the region.  Returns
+    (cases compared, labels of the mismatches); uses no assert, so that it
+    checks the same under python -O.
     """
+    default, sp.PACK_BITS = sp.PACK_BITS, pack_bits
+    try:
+        return _region_cases()
+    finally:
+        sp.PACK_BITS = default
+
+
+def _region_cases():
     names = ["honeycomb_%d" % k for k in range(2, 6)] + ["honeycomb", "square_lattice"]
     names += ["square_lattice_%d" % k for k in (2, 3)]
     rng = random.Random(37)
@@ -503,15 +528,16 @@ def _region_mismatches():
 
 
 def test_region_det_matches_box_oracle():
-    cases, bad = _region_mismatches()
-    assert bad == [] and cases == 4 * 29
+    for pack_bits in (NODE, sp.PACK_BITS):
+        cases, bad = _region_mismatches(pack_bits)
+        assert bad == [] and cases == 4 * 29
 
 
 def test_region_det_matches_box_oracle_under_python_O():
     """The exact-division checks are raises, not asserts: the differential holds with asserts stripped."""
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
-    code = "import sys, test_spectral as t; print(sys.flags.optimize, *t._region_mismatches())"
+    code = "import sys, test_spectral as t; print(sys.flags.optimize, *t._region_mismatches(t.NODE))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
@@ -526,7 +552,7 @@ def _support_rows(p):
     return tuple((j, min(xs), max(xs)) for j, xs in sorted(rows.items()))
 
 
-def test_region_det_on_the_support_of_random_matrices():
+def test_region_det_on_the_support_of_random_matrices(monkeypatch):
     """Any matrix's determinant, evaluated on its own support's rows or on randomly widened ones, is the box's.
 
     Random supports leave rows out, and random widths leave the open rows at
@@ -540,7 +566,7 @@ def test_region_det_on_the_support_of_random_matrices():
             want = _det_box(mat)
             rows = _support_rows(want)
             wider = tuple((j, lo - rng.randint(0, 2), hi + rng.randint(0, 2)) for j, lo, hi in rows)
-            assert sp.laurent_det(mat, rows) == sp.laurent_det(mat, wider) == want
+            assert _both_paths(monkeypatch, sp.laurent_det, mat, rows) == _both_paths(monkeypatch, sp.laurent_det, mat, wider) == want
 
 
 def test_only_positive_weights_teach_the_region():
@@ -579,9 +605,10 @@ def test_no_perfect_matching_learns_the_empty_region():
         assert _det_box(sp.kasteleyn_matrix(g, weights)).is_zero()
 
 
-@pytest.mark.parametrize("name, box, polygon", [("square_lattice_3", 49, 25), ("honeycomb_5", 36, 21)])
-def test_nodes_on_the_box_then_on_the_matching_polygon(name, box, polygon, monkeypatch):
-    """The first call evaluates at every node of the box, later ones at one node per lattice point of N."""
+# -- the packed node: Kronecker substitution against the node loop -----------
+
+def _last_stage_nodes(monkeypatch):
+    """The list that each last-stage `_evaluate` call appends its (z, w) node to."""
     nodes = []
     evaluate = sp._evaluate
 
@@ -591,6 +618,106 @@ def test_nodes_on_the_box_then_on_the_matching_polygon(name, box, polygon, monke
         return evaluate(terms, pa, pb)
 
     monkeypatch.setattr(sp, "_evaluate", counted)
+    return nodes
+
+
+def _packed_box_bits(g, weights):
+    """(Dz+1)(Dw+1) times the digit width of K's integer rows, from the prod of their sum |c| bound."""
+    rows, _ = g.derived(sp._Plan).scaled_rows(weights)
+    dz = sum(max(t[1] for t in terms) - min(t[1] for t in terms) for terms, _ in rows)
+    dw = sum(max(t[2] for t in terms) - min(t[2] for t in terms) for terms, _ in rows)
+    bound = 1
+    for terms, _ in rows:
+        bound *= sum(abs(t[3]) for t in terms)
+    return (dz + 1) * (dw + 1) * (bound.bit_length() + 1)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["honeycomb", "square_lattice"]
+    + ["honeycomb_%d" % k for k in range(2, 9)]
+    + ["square_lattice_%d" % k for k in range(2, 5)],
+)
+def test_packed_node_equals_the_node_path_and_the_oracles(name, monkeypatch):
+    """Signed, positive and all-ones weights: packed == node == box oracle, and == the matching sum where that is small.
+
+    The signed call comes first, so the node path runs on the box; the
+    positive one teaches the region, and the all-ones one runs on it.
+    """
+    rng = random.Random("packed " + name)
+    g = tg.catalog(name).graph
+    for weights in (_signed_weights(g, rng), tg.random_weights(g, rng), tg.all_ones_weights(g)):
+        got = _both_paths(monkeypatch, sp.kasteleyn_polynomial, g, weights)
+        assert got == _det_box(sp.kasteleyn_matrix(g, weights)) and not got.is_zero()
+        if len(g.derived(sp._Plan).blacks) <= 16:
+            assert got == sp.matching_polynomial(g, weights)
+    assert g.derived(sp._Plan).region is not None
+
+
+def test_packed_node_on_random_matrices_and_no_perfect_matching(monkeypatch):
+    rng = random.Random(43)
+    kinds = sorted(_ROW_KINDS)
+    for n in range(7):
+        for _ in range(40):
+            mat = [_random_row(rng, n, rng.choice(kinds)) for _ in range(n)]
+            assert _both_paths(monkeypatch, sp.laurent_det, mat) == _det_box(mat)
+    g = _no_perfect_matching()
+    for weights in (_signed_weights(g, rng), tg.random_weights(g, rng), tg.all_ones_weights(g)):
+        assert _both_paths(monkeypatch, sp.kasteleyn_polynomial, g, weights).is_zero()
+        assert _det_box(sp.kasteleyn_matrix(g, weights)).is_zero()
+        assert sp.matching_polynomial(g, weights).is_zero()
+
+
+@pytest.mark.parametrize(
+    "name, ones, packed",
+    [("square_lattice_3", False, True), ("honeycomb_7", True, True), ("honeycomb_8", True, False), ("honeycomb_6", False, False)],
+)
+def test_the_threshold_picks_the_path(name, ones, packed, monkeypatch):
+    """At the default PACK_BITS a packed box of at most that many bits takes one last-stage node, a larger one the node loop."""
+    g = tg.catalog(name).graph
+    weights = tg.all_ones_weights(g) if ones else tg.random_weights(g, random.Random(name))
+    sp.kasteleyn_polynomial(g, weights)  # learns the region
+    assert (_packed_box_bits(g, weights) <= sp.PACK_BITS) == packed
+    nodes = _last_stage_nodes(monkeypatch)
+    p = sp.kasteleyn_polynomial(g, weights)
+    assert len(set(nodes)) == (1 if packed else len(p.terms))
+
+
+def _decode_guard():
+    """The name of what the packed node raises with the coefficient bound patched to 1, on a polynomial whose top coefficient is 3^8.
+
+    Two-bit digits cannot hold it, so the last digit spills beyond the box.
+    """
+    bound, bits = sp._coefficient_bound, sp.PACK_BITS
+    sp._coefficient_bound, sp.PACK_BITS = (lambda scaled: 1), PACKED
+    try:
+        g = tg.catalog("square_lattice_2").graph
+        sp.kasteleyn_polynomial(g, {e: Fraction(3) for e in g.edges})
+    except ArithmeticError as exc:
+        return type(exc).__name__
+    finally:
+        sp._coefficient_bound, sp.PACK_BITS = bound, bits
+    return "nothing"
+
+
+def test_packed_node_checks_its_digits():
+    assert _decode_guard() == "ArithmeticError"
+
+
+def test_packed_node_checks_its_digits_under_python_O():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = "import sys, test_spectral as t; print(sys.flags.optimize, t._decode_guard())"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout.split()) == (0, ["1", "ArithmeticError"]), out.stderr
+
+
+@pytest.mark.parametrize("name, box, polygon", [("square_lattice_3", 49, 25), ("honeycomb_5", 36, 21)])
+def test_nodes_on_the_box_then_on_the_matching_polygon(name, box, polygon, monkeypatch):
+    """On the node path, the first call evaluates at every node of the box, later ones at one node per lattice point of N."""
+    monkeypatch.setattr(sp, "PACK_BITS", NODE)
+    nodes = _last_stage_nodes(monkeypatch)
     g = tg.catalog(name).graph
     weights = tg.random_weights(g, random.Random(name))
     p = sp.kasteleyn_polynomial(g, weights)
@@ -702,6 +829,37 @@ def test_normalized_equals_the_hull_and_twist_oracle():
         if not p.is_zero():
             got, want = sp.normalized_poly(p), _normalized_poly_by_hull(p)
             assert got == want and got.to_json() == want.to_json()
+
+
+def _normalized_by_four_forms(p):
+    """The definition: translate the lex-least term to the origin, make it 1, and take the least of the four twisted sorted term lists."""
+    ci, cj = min(p.terms)
+    lead = p.terms[ci, cj]
+    forms = []
+    for sx in (1, -1):
+        for sy in (1, -1):
+            forms.append(
+                sorted(((i - ci, j - cj), c / lead * sx ** ((i - ci) % 2) * sy ** ((j - cj) % 2)) for (i, j), c in p.terms.items())
+            )
+    return sp.LaurentPoly2(dict(min(forms)))
+
+
+_coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), _coefficients, min_size=1, max_size=12),
+    st.sampled_from([1, -1]),
+    st.sampled_from([1, -1]),
+)
+def test_normalized_equals_the_four_form_definition(terms, sx, sy):
+    """Also on polynomials that some twist, a sign flip of the odd terms in z or in w, leaves fixed."""
+    p = sp.LaurentPoly2(terms)
+    twisted = sp.LaurentPoly2({(i, j): c * (sx if i % 2 else 1) * (sy if j % 2 else 1) for (i, j), c in terms.items()})
+    got = sp.normalized_poly(p)
+    assert got == _normalized_by_four_forms(p) == sp.normalized_poly(twisted)
+    assert list(got.terms) == sorted(got.terms)
 
 
 def test_abel_map_square_lattice():
