@@ -594,14 +594,14 @@ def _no_perfect_matching():
     return tg.TorusGraph(dict(g.vertices, b1="b", b2="b", w1="w", w2="w"), edges, rot)
 
 
-def test_no_perfect_matching_learns_the_empty_region():
+def test_no_perfect_matching_learns_the_empty_region(monkeypatch):
     g = _no_perfect_matching()
     rng = random.Random(40)
     assert sp.matching_polynomial(g, tg.all_ones_weights(g)).is_zero()
-    assert sp.kasteleyn_polynomial(g, tg.random_weights(g, rng)).is_zero()
+    assert _both_paths(monkeypatch, sp.kasteleyn_polynomial, g, tg.random_weights(g, rng)).is_zero()
     assert g.derived(sp._Plan).region == ()
-    for weights in (_signed_weights(g, rng), tg.random_weights(g, rng)):
-        assert sp.kasteleyn_polynomial(g, weights).is_zero()
+    for weights in (_signed_weights(g, rng), tg.random_weights(g, rng), tg.all_ones_weights(g)):
+        assert _both_paths(monkeypatch, sp.kasteleyn_polynomial, g, weights).is_zero()
         assert _det_box(sp.kasteleyn_matrix(g, weights)).is_zero()
 
 
@@ -652,20 +652,6 @@ def test_packed_node_equals_the_node_path_and_the_oracles(name, monkeypatch):
         if len(g.derived(sp._Plan).blacks) <= 16:
             assert got == sp.matching_polynomial(g, weights)
     assert g.derived(sp._Plan).region is not None
-
-
-def test_packed_node_on_random_matrices_and_no_perfect_matching(monkeypatch):
-    rng = random.Random(43)
-    kinds = sorted(_ROW_KINDS)
-    for n in range(7):
-        for _ in range(40):
-            mat = [_random_row(rng, n, rng.choice(kinds)) for _ in range(n)]
-            assert _both_paths(monkeypatch, sp.laurent_det, mat) == _det_box(mat)
-    g = _no_perfect_matching()
-    for weights in (_signed_weights(g, rng), tg.random_weights(g, rng), tg.all_ones_weights(g)):
-        assert _both_paths(monkeypatch, sp.kasteleyn_polynomial, g, weights).is_zero()
-        assert _det_box(sp.kasteleyn_matrix(g, weights)).is_zero()
-        assert sp.matching_polynomial(g, weights).is_zero()
 
 
 @pytest.mark.parametrize(
