@@ -16,7 +16,9 @@ import json
 import os
 import sys
 import time
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from . import DimermodError, moves, polygon as poly, spectral as sp, suites, torusgraph as tg
 from .groups import (
@@ -56,12 +58,11 @@ def _load_weights(path, graph):
             w = tg.parse_weights(json.load(fh))
     except (OSError, KeyError, ValueError) as exc:
         raise InputError("weights %s: %s" % (path, exc))
-    missing = sorted(set(graph.edges) - set(w))
-    if missing:
-        raise InputError("weights missing for edges %s" % ", ".join(missing))
-    unknown = sorted(set(w) - set(graph.edges))
-    if unknown:
-        raise InputError("weights for edges not in the graph: %s" % ", ".join(unknown))
+    if w.keys() != graph.edges.keys():
+        missing = sorted(graph.edges.keys() - w.keys())
+        if missing:
+            raise InputError("weights missing for edges %s" % ", ".join(missing))
+        raise InputError("weights for edges not in the graph: %s" % ", ".join(sorted(w.keys() - graph.edges.keys())))
     return w
 
 
@@ -75,11 +76,13 @@ def _json_text(x, ind="\n"):
     json falls back to its pure-Python encoder when an indent is set.  This
     writer gives the same text with no call per scalar: a str or an exact int
     inside a list or dict is written inline, and only containers and other
-    scalars (bools, None, floats, through json.dumps) recurse.  A list of
-    lists (of darts, say) is written in one nested comprehension, and a dict
-    of five or more str keys with str or int values (an `abel map` row, a
-    weight table) by json's C encoder, whose item separator carries the
-    newline and indent.
+    scalars (bools, None, floats, through json.dumps) recurse.  A container
+    of _MIN_ROWS or more items that are rows of one shape (`_rows_text`:
+    darts, faces, lifts, the `abel map` values table, polynomial terms) is
+    written by one % template; a shorter list of lists (a polygon's
+    vertices, say) in one nested comprehension; and a dict of five or more
+    str keys with str or int values (a weight table) by json's C encoder,
+    whose item separator carries the newline and indent.
     """
     t = type(x)
     if t is str:
@@ -90,20 +93,31 @@ def _json_text(x, ind="\n"):
         if not x:
             return "{}"
         inner = ind + "  "
-        if len(x) >= 5 and set(map(type, x)) == {str} and set(map(type, x.values())) <= {str, int}:
+        if len(x) >= 5 and set(map(type, x)) == _STRS and set(map(type, x.values())) <= _SCALARS:
             return "{" + inner + _flat_dict_encoder(inner)(x)[1:-1] + ind + "}"
+        items = sorted(x.items())
+        if len(x) >= _MIN_ROWS:
+            kinds = set(map(type, x.values()))
+            if kinds == _DICTS or kinds <= _SEQUENCES:
+                body = _rows_text([k for k, _ in items], [v for _, v in items], kinds, inner)
+                if body is not None:
+                    return "{" + inner + body + ind + "}"
         items = [
             (_quote(k) if type(k) is str else _json_key(k))
             + ": "
             + (_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _json_text(v, inner))
-            for k, v in sorted(x.items())
+            for k, v in items
         ]
         return "{" + inner + ("," + inner).join(items) + ind + "}"
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
-        inner = ind + "  "
-        if set(map(type, x)) <= {list, tuple}:  # a list of lists, each written here
+        inner, kinds = ind + "  ", set(map(type, x))
+        if len(x) >= _MIN_ROWS and (kinds == _DICTS or kinds <= _SEQUENCES):
+            body = _rows_text(None, x, kinds, inner)
+            if body is not None:
+                return "[" + inner + body + ind + "]"
+        if kinds <= _SEQUENCES:  # a list of lists, each written here
             deeper = inner + "  "
             sep = "," + deeper
             items = [
@@ -122,6 +136,95 @@ def _json_text(x, ind="\n"):
             items = [_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _json_text(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(items) + ind + "]"
     return json.dumps(x)
+
+
+def _rows_text(keys, rows, kinds, inner):
+    """The items of a list (keys None) or of a dict (its sorted keys) whose values are rows of one shape, or None.
+
+    kinds is the set of the values' types.  The rows are lists or tuples of
+    one length, or dicts with one set of two or more str keys, and each
+    column must have one scalar shape (`_row_template`).  The
+    values may also be non-empty lists of such list rows (the darts of each
+    face).  The checks run in C, over map, zip and set.  All items are
+    written by one % template, on one flat tuple of the keys and row
+    entries.
+    """
+    deeper = inner + "  "
+    if kinds == _DICTS:
+        names = rows[0]
+        if len(names) < 2 or not set(map(type, names.values())) <= _SCALARS:
+            return None
+        if set(map(type, names)) != _STRS or set(map(len, rows)) != {len(names)}:
+            return None
+        names = sorted(names)
+        try:
+            parts = list(map(itemgetter(*names), rows))
+        except KeyError:  # a row with another key set of the same size
+            return None
+        row = _row_template(parts, inner, "{%s}", [_quote(k).replace("%", "%%") + ": " for k in names])
+        if row is None:
+            return None
+        templates = [row] * len(rows)
+    elif not rows[0]:
+        return None
+    elif type(rows[0][0]) not in _SEQUENCES:  # rows of scalars
+        row = _row_template(rows, inner, "[%s]")
+        if row is None:
+            return None
+        templates, parts = [row] * len(rows), rows
+    else:  # lists of list rows
+        sizes = list(map(len, rows))
+        flat = list(chain.from_iterable(rows))
+        if 0 in sizes or not set(map(type, flat)) <= _SEQUENCES:
+            return None
+        row = _row_template(flat, deeper, "[%s]")
+        if row is None:
+            return None
+        lists = {n: "[" + deeper + ("," + deeper).join([row] * n) + inner + "]" for n in set(sizes)}
+        templates, parts = list(map(lists.__getitem__, sizes)), map(chain.from_iterable, rows)
+    if keys is None:
+        return ("," + inner).join(templates) % tuple(chain.from_iterable(parts))
+    keys = [_quote(k) if type(k) is str else _json_key(k) for k in keys]
+    text = "%s: " + ("," + inner + "%s: ").join(templates)
+    return text % tuple(chain.from_iterable(map(chain, zip(keys), parts)))
+
+
+def _row_template(rows, inner, brackets, names=None):
+    """The % template of one row, written between brackets and closed at indentation inner, or None.
+
+    rows are non-empty tuples or lists of one length; names, when given,
+    are the written keys in front of each entry.  Each column must be all
+    exact ints or all strs that json writes as themselves between quotes,
+    so that a bool, None, float or other str leaves the rows to the general
+    path.
+    """
+    if not rows[0] or set(map(len, rows)) != {len(rows[0])}:
+        return None
+    formats = []
+    for column in zip(*rows):
+        types = set(map(type, column))
+        if types == _INTS:
+            formats.append("%d")
+        elif types == _STRS and _verbatim("".join(column)):
+            formats.append('"%s"')
+        else:
+            return None
+    if names is not None:
+        formats = list(map(str.__add__, names, formats))
+    deeper = inner + "  "
+    return brackets % (deeper + ("," + deeper).join(formats) + inner)
+
+
+_DICTS, _INTS, _STRS = frozenset([dict]), frozenset([int]), frozenset([str])
+_SCALARS, _SEQUENCES = frozenset([int, str]), frozenset([list, tuple])
+# Below this many items the shape checks cost more than one template saves:
+# the `polygons` reports (2 to 8 rows) read 3 % slower per round without it.
+_MIN_ROWS = 8
+
+
+def _verbatim(s):
+    """Whether json writes s as s itself between quotes: printable ASCII with no quote or backslash."""
+    return s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
 
 
 @functools.cache
@@ -200,11 +303,8 @@ def cmd_graph_check(args):
     out = {
         "vertices": len(g.vertices),
         "edges": len(g.edges),
-        "faces": {f.id: [list(d) for d in f.darts] for f in g.faces()},
-        "zigzags": {
-            z.id: {"homology": list(z.homology), "darts": [list(d) for d in z.darts]}
-            for z in g.zigzags()
-        },
+        "faces": {f.id: f.darts for f in g.faces()},
+        "zigzags": {z.id: {"homology": z.homology, "darts": z.darts} for z in g.zigzags()},
         "minimal": minimal,
     }
     if cert:

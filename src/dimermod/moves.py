@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import gcd
 
 from . import DimermodError, intlin, polygon as poly
 from .groups import build_j, pair
@@ -73,6 +74,10 @@ class MoveOutcome:
 def _push_weights(recipe, w):
     """Push the edge weights w through one move, in place, by the move's recipe.
 
+    A weight is an integer pair (n, d), the rational n/d in lowest terms
+    with d > 0; each value written is reduced again, so it is exactly the
+    size its Fraction would be, and no Fraction is built here.
+
     A recipe is what a move does to weights, read off the graph alone:
     ("spider", face, sides a b c d, legs, new sides) takes out the four
     sides, gives each leg weight 1 and new side i the weight of side i + 2
@@ -85,25 +90,51 @@ def _push_weights(recipe, w):
     if kind == "spider":
         _, face_id, sides, legs, quads = recipe
         old = [w[e] for e in sides]
-        delta = old[0] * old[2] + old[1] * old[3]
-        if delta == 0:
+        (an, ad), (bn, bd), (cn, cd), (dn, dd) = old
+        p, q = ad * cd, bd * dd
+        top = an * cn * q + bn * dn * p  # Delta = top / (p q)
+        if top == 0:
             raise MoveNotApplicable("face %s has Delta = ac + bd = 0" % face_id)
+        bottom, sign = p * q, 1 if top > 0 else -1
         for e in sides:
             del w[e]
         for i in range(4):
-            w[legs[i]] = Fraction(1)
-            w[quads[i]] = old[(i + 2) % 4] / delta
+            n, d = old[(i + 2) % 4]
+            n, d = n * bottom, d * top
+            g = sign * gcd(n, d)
+            w[legs[i]] = (1, 1)
+            w[quads[i]] = (n // g, d // g)
     elif kind == "contract":
         _, f1, f2, arc_u, arc_x = recipe
-        w1, w2 = w.pop(f1), w.pop(f2)
-        for e in arc_u:
-            w[e] = w[e] * w2
-        for e in arc_x:
-            w[e] = w[e] * w1
+        x1, x2 = w.pop(f1), w.pop(f2)
+        for arc, (m, q) in ((arc_u, x2), (arc_x, x1)):
+            for e in arc:
+                n, d = w[e]
+                n, d = n * m, d * q
+                g = gcd(n, d)
+                w[e] = (n // g, d // g)
     else:
         _, ea, eb = recipe
-        w[ea] = Fraction(1)
-        w[eb] = Fraction(1)
+        w[ea] = (1, 1)
+        w[eb] = (1, 1)
+
+
+def _pushed(recipe, weights, reads):
+    """A copy of the Fraction weights after one move's recipe.
+
+    Only the entries in reads, the ones the recipe reads, become integer
+    pairs and go through `_push_weights`; what it writes comes back as
+    Fractions, in the order a push on the whole dict would give.
+    """
+    w = {e: weights[e].as_integer_ratio() for e in reads}
+    _push_weights(recipe, w)
+    out = weights.copy()
+    for e in reads:
+        if e not in w:
+            del out[e]
+    for e, (n, d) in w.items():
+        out[e] = Fraction(n, d)
+    return out
 
 
 def spider_move(g, weights, face_id, tag="sp"):
@@ -142,8 +173,7 @@ def spider_move(g, weights, face_id, tag="sp"):
         vertices[n_ids[i]] = WHITE if g.color(corners[i]) == BLACK else BLACK
 
     recipe = ("spider", face_id, tuple(old_edges), tuple(leg_ids), tuple(quad_ids))
-    new_weights = weights.copy()
-    _push_weights(recipe, new_weights)
+    new_weights = _pushed(recipe, weights, old_edges)
     for i in range(4):
         ci, ni = corners[i], n_ids[i]
         if g.color(ci) == BLACK:
@@ -232,8 +262,7 @@ def contract_vertex(g, weights, v, tag="ct"):
         edges[e] = (merged, w, poly.vsub(d, shift)) if b == x else (b, merged, poly.vadd(d, shift))
     rotations[merged] = arc_u + arc_x
     recipe = ("contract", f1, f2, arc_u, arc_x)
-    new_weights = weights.copy()
-    _push_weights(recipe, new_weights)
+    new_weights = _pushed(recipe, weights, (f1, f2) + arc_u + arc_x)
 
     out = TorusGraph(vertices, edges, rotations, parent=g, changed=(merged,), removed=(f1, f2))
     removed = {(e, s) for e in (f1, f2) for s in (1, -1)}
@@ -282,8 +311,7 @@ def expand_vertex(g, weights, v, first, second, tag="ex"):
     rotations[mid] = (ea, eb)
 
     recipe = ("expand", ea, eb)
-    new_weights = weights.copy()
-    _push_weights(recipe, new_weights)
+    new_weights = _pushed(recipe, weights, ())
     out = TorusGraph(vertices, edges, rotations, parent=g, changed=(va, vb, mid))
     return MoveOutcome(
         graph=out, weights=new_weights, removed_darts=set(), avoid_darts=set(), recipe=recipe
@@ -505,16 +533,21 @@ def run_sequence(script, weights, base=None):
     shift do not.  So the base graph keeps the trace of each script run from
     it (`TorusGraph.derived`; the 32 most recently used), and a later call
     only pushes its weights through each move's recipe, where Delta = 0 is
-    the one check left to fail.  A shared catalog graph keeps its traces
-    while the catalog cache keeps it; a graph file is read afresh, so its
-    script is traced on every call, and a one-shot shell call still pays.
+    the one check left to fail.  The replay turns the weights into integer
+    pairs once, pushes them through every recipe, and builds one Fraction
+    per final weight.  A shared catalog graph keeps its traces while the
+    catalog cache keeps it; a graph file is read afresh, so its script is
+    traced on every call, and a one-shot shell call still pays.
     """
     if base is None:
         base = resolve_graph(script.graph)
-    if sorted(weights) != sorted(base.edges):
-        raise MoveError("weights must cover exactly the base edges")
-    if any(w == 0 for w in weights.values()):
-        raise MoveError("weights must be nonzero")
+    if weights.keys() != base.edges.keys():
+        missing, unknown = base.edges.keys() - weights.keys(), weights.keys() - base.edges.keys()
+        fault = "no weight for edge %s" % min(missing) if missing else "edge %s is not in the base" % min(unknown)
+        raise MoveError("weights must cover exactly the base edges: " + fault)
+    if not all(weights.values()):
+        zero = min(e for e, x in weights.items() if x == 0)
+        raise MoveError("weights must be nonzero: edge %s has weight 0" % zero)
     traces, key = base.derived(_trace_table), repr((script.moves, script.closing))
     trace = traces.pop(key, None)
     if trace is None:
@@ -530,10 +563,11 @@ def run_sequence(script, weights, base=None):
                 del traces[next(iter(traces))]
         return res
     traces[key] = trace  # now the most recently used
-    w = dict(weights)
+    w = {e: x.as_integer_ratio() for e, x in weights.items()}
     for recipe in trace.recipes:
         _push_weights(recipe, w)
-    return _with_weights(trace.result, {trace.edge_map[e]: x for e, x in w.items()})
+    edge_map = trace.edge_map
+    return _with_weights(trace.result, {edge_map[e]: Fraction(n, d) for e, (n, d) in w.items()})
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
@@ -718,24 +719,31 @@ def random_weights(g, rng, max_val=9):
 
 
 def parse_weights(data):
+    """Edge weights from their JSON object, each value read by `_parse_rational`."""
     if not isinstance(data, dict):
         raise ValueError("weights must be a JSON object mapping edge ids to rationals")
-    return {e: _parse_rational(v, "edge %s" % e) for e, v in data.items()}
+    return {e: _parse_rational(v, e) for e, v in data.items()}
 
 
-def _parse_rational(s, what):
-    """An int, or a string "p" or "p/q", as an exact Fraction; `what` names the input in errors."""
+# ASCII digits only: int() alone would also take " 3 ", "1_000" and other scripts' digits
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[+-]?[0-9]+)?")
+
+
+def _parse_rational(s, edge):
+    """An int, or a string "p" or "p/q" (ASCII digits, each with an optional sign), as an exact Fraction.
+
+    A ValueError names the edge whose weight s is.
+    """
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
+    p, _, q = s.partition("/") if isinstance(s, str) and _RATIONAL.fullmatch(s) else ("", "", "")
     try:
-        nums = [int(x) for x in s.split("/")] if isinstance(s, str) else []
-    except ValueError:
-        nums = []
-    if len(nums) not in (1, 2):
-        raise ValueError("%s: %r is not an integer or a string p/q" % (what, s))
-    if len(nums) == 2 and nums[1] == 0:
-        raise ValueError("%s: zero denominator in %r" % (what, s))
-    return Fraction(*nums)
+        p, q = int(p), int(q or 1)
+    except ValueError:  # outside the grammar, or more digits than int() converts
+        raise ValueError("edge %s: %r is not an integer or a string p/q" % (edge, s)) from None
+    if q == 0:
+        raise ValueError("edge %s: zero denominator in %r" % (edge, s))
+    return Fraction(p, q)
 
 
 def weights_to_json(weights):

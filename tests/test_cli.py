@@ -322,6 +322,7 @@ def test_input_error_exit_code(tmp_path, capsys):
     stray["rotations"]["zz"] = []
     z = _write(tmp_path, "z.json", stray)
     extra = _write(tmp_path, "extra.json", {"e0": "1", "e1": "1", "e2": "1", "e9": "5"})
+    lenient = _write(tmp_path, "lenient.json", {"e0": "1", "e1": "1_000", "e2": "1"})
     keyless = _write(tmp_path, "keyless.json", {"vertexes": [[0, 0], [1, 0], [0, 1]]})
     index2 = tg.catalog("honeycomb").graph.to_json()
     index2["edges"][1]["disp"] = [2, 0]
@@ -340,6 +341,7 @@ def test_input_error_exit_code(tmp_path, capsys):
         (["graph", "check", "--graph", b], "edge e1"),
         (["graph", "check", "--graph", z], "rotation at zz"),
         (["spectral", "poly", "--graph", "honeycomb", "--weights", extra], "graph: e9"),
+        (["spectral", "poly", "--graph", "honeycomb", "--weights", lenient], "edge e1: '1_000'"),
         (["group", "compute", "--polygon", keyless], '{"vertices"'),
         (["graph", "check", "--graph", i2], "sublattice of index 2"),
         (["abel", "map", "--graph", i2], "sublattice of index 2"),
@@ -347,6 +349,17 @@ def test_input_error_exit_code(tmp_path, capsys):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["apply", "phi"])
+def test_shuffle_names_the_least_zero_weight_edge(command, tmp_path, capsys):
+    s = _write(tmp_path, "s.json", bundled_script("domino_shuffle"))
+    edges = sorted(tg.catalog("square_lattice").graph.edges)
+    w = _write(tmp_path, "w.json", dict({e: "1" for e in edges}, **{edges[5]: "0", edges[2]: "-0/3"}))
+    want = (2, "", "MoveError: weights must be nonzero: edge %s has weight 0\n" % edges[2])
+    for _ in range(2):  # a miss, then with the script traced
+        assert _run_all(capsys, ["shuffle", command, "--script", s, "--weights", w]) == want
+        assert _run_all(capsys, ["shuffle", command, "--script", s])[0] == 0
 
 
 def test_json_flag_is_gone(tmp_path, capsys):
@@ -571,6 +584,44 @@ _SCALARS = (
 
 _FLAT = st.integers() | _TEXT  # the values of a dict the C encoder writes
 _FLAT_LISTS = st.lists(_SCALARS, max_size=4) | st.lists(_SCALARS, max_size=4).map(tuple)
+_KEYS = _TEXT | st.sampled_from(["%", "%s", "%d", "a%%b", "%(x)s", "\u00e9%", "\u2603", "k\U0001f600"])
+_INTS = st.integers() | st.integers(min_value=10**999, max_value=10**1000 - 1)
+_PLAIN = st.text(st.sampled_from("ab,0 %-~"), max_size=5)  # strs json writes as themselves
+_ESCAPED = st.sampled_from(['"', "\\", "\x7f", "\x1f", "\u00e9"])  # strs it does not
+_ODD = st.booleans() | st.floats() | st.none() | _ESCAPED | _TEXT | st.integers(min_value=10**999, max_value=10**1000 - 1)
+
+
+@st.composite
+def _pair_rows(draw):
+    """Rows of one shape, (str, int) or (int, int), lists or tuples, in a list or tuple; maybe one entry odd."""
+    first = draw(st.sampled_from([_PLAIN, _TEXT, _INTS]))
+    rows = [draw(st.sampled_from([list, tuple]))(row) for row in draw(st.lists(st.tuples(first, _INTS), min_size=1, max_size=12))]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 1))
+        row = list(rows[i])
+        row[j] = draw(_ODD)
+        rows[i] = row
+    return draw(st.sampled_from([list, tuple]))(rows)
+
+
+@st.composite
+def _tables(draw):
+    """A dict (or a list) of rows with one key set, each column int or str; maybe one row with an extra or a missing key, a bool or a str."""
+    names = draw(st.lists(_KEYS, min_size=1, max_size=5, unique=True))
+    columns = {k: draw(st.sampled_from([_INTS, _INTS, _PLAIN])) for k in names}
+    rows = draw(st.dictionaries(_KEYS, st.fixed_dictionaries(columns), min_size=1, max_size=12))
+    fault = draw(st.sampled_from([None, "extra", "missing", "bool", "str"]))
+    if fault is not None:
+        k = draw(st.sampled_from(sorted(rows)))
+        row = rows[k] = dict(rows[k])
+        name = draw(st.sampled_from(names))
+        if fault == "extra":
+            row[draw(_KEYS)] = draw(_INTS)
+        elif fault == "missing":
+            del row[name]
+        else:
+            row[name] = draw(st.booleans() if fault == "bool" else _TEXT)
+    return rows if draw(st.booleans()) else list(rows.values())
 
 
 def _nested(children):
@@ -579,11 +630,15 @@ def _nested(children):
         | st.lists(children, max_size=4).map(tuple)
         | st.lists(_FLAT_LISTS, max_size=6)
         | st.lists(_FLAT_LISTS, max_size=6).map(tuple)
-        | st.dictionaries(_TEXT, children, max_size=4)
+        | st.dictionaries(_KEYS, children, max_size=4)
         | st.dictionaries(_TEXT, _FLAT, min_size=5, max_size=12)
         | st.dictionaries(_TEXT, _FLAT | st.booleans() | st.none() | st.floats(), max_size=12)
         | st.dictionaries(st.integers() | st.booleans() | st.floats(allow_nan=False), children, max_size=3)
         | st.dictionaries(st.none(), children, max_size=1)
+        | _pair_rows()
+        | st.dictionaries(_KEYS, _pair_rows(), max_size=10)
+        | st.lists(_pair_rows(), max_size=10)
+        | _tables()
     )
 
 
@@ -597,6 +652,12 @@ def test_emit_matches_json_dumps(payload):
 
 
 _ROW = {"z%d" % i: i - 3 if i % 2 else "v%d" % i for i in range(7)}
+_INT_ROW = {"z%d" % i: i - 3 for i in range(7)}  # a row of the `abel map` values table
+
+
+def _table(n=cli._MIN_ROWS, last=_INT_ROW):
+    """n rows, keyed w0, w1, ...: copies of _INT_ROW, the last one replaced by last."""
+    return {"w%d" % i: dict(_INT_ROW if i < n - 1 else last) for i in range(n)}
 
 
 @pytest.mark.parametrize(
@@ -610,6 +671,13 @@ _ROW = {"z%d" % i: i - 3 if i % 2 else "v%d" % i for i in range(7)}
         ({"a": {"b": {k: _ROW[k] for k in list(_ROW)[:4]}}}, 0),  # and so do four entries
         ({"a": {"b": [[1, "x"], [], ("y", -2), (), [None, True, 1.5, 10**30]]}}, 0),  # a list of flat lists
         ({"a": [[[[1, [2]], ({"k": 0},)], []]]}, 0),  # lists of lists that are not flat
+        ({"a": {"b": _table()}}, 0),  # a table of int rows with one key set: a template
+        ({"a": {"b": list(_table(last=dict(_INT_ROW, z0=10**40)).values())}}, 0),
+        ({"a": {"b": _table(cli._MIN_ROWS - 1)}}, cli._MIN_ROWS - 1),  # a shorter one: each row through the encoder
+        ({"a": {"b": _table(last=dict(_INT_ROW, z9=0))}}, cli._MIN_ROWS),  # an extra key
+        ({"a": {"b": _table(last=dict(list(_INT_ROW.items())[1:], y=0))}}, cli._MIN_ROWS),  # another key set
+        ({"a": {"b": list(_table(last=dict(_INT_ROW, z1="x")).values())}}, cli._MIN_ROWS),  # a str in an int column
+        ({"a": {"b": list(_table(last=dict(_INT_ROW, z1=False)).values())}}, cli._MIN_ROWS - 1),  # a bool: the general way
     ],
 )
 def test_emit_fast_branches_at_depth(payload, fast, monkeypatch):
@@ -618,6 +686,52 @@ def test_emit_fast_branches_at_depth(payload, fast, monkeypatch):
     monkeypatch.setattr(cli, "_flat_dict_encoder", lambda inner: calls.append(inner) or encoder(inner))
     assert cli._json_text(payload) + "\n" == _json_reference(payload)
     assert len(calls) == fast
+
+
+_DARTS = tuple(("e%d" % i, (-1) ** i) for i in range(cli._MIN_ROWS - 1)) + (("e%2", 1),)
+_TERMS = [{"z": i, "w": 1, "coeff": "-%d/2" % i} for i in range(cli._MIN_ROWS)]
+
+
+@pytest.mark.parametrize(
+    "payload, templates",
+    [
+        ({"a": {"b": _DARTS}}, 1),  # darts: (str, int) rows, one template for the list
+        ({"a": {"b": _DARTS[1:]}}, 0),  # fewer than _MIN_ROWS rows: the nested comprehension
+        ({"a": {"b": [list(d) for d in _DARTS] + [(7, -7)]}}, 0),  # str and int in one column
+        ({"a": {"b": {"f%d" % i: _DARTS[: 1 + i % 3] for i in range(cli._MIN_ROWS)}}}, 1),  # faces: one for the dict
+        ({"a": {"b": dict({"f%d" % i: _DARTS for i in range(cli._MIN_ROWS)}, f7=())}}, 7),  # an empty face: one each
+        ({"a": {"b": dict({"v%d" % i: [i, -i] for i in range(cli._MIN_ROWS)}, w=(2, 10**999), x=(3, 4))}}, 1),  # lifts
+        ({"a": {"b": [[i, i + 1, i + 2] for i in range(cli._MIN_ROWS)]}}, 1),  # matrix rows
+        ({"a": {"b": [[i, i + 1, i + 2] for i in range(cli._MIN_ROWS)] + [[4, 5]]}}, 0),  # rows of two lengths
+        ({"a": {"b": _DARTS + (("e1", True),)}}, 0),  # a bool, None or float
+        ({"a": {"b": _DARTS + (("e1", None),)}}, 0),
+        ({"a": {"b": _DARTS + (("e1", 0.5),)}}, 0),
+        ({"a": {"b": _DARTS + (('e"1', 1),)}}, 0),  # a str json escapes
+        ({"a": {"b": _DARTS + (("e\\1", 1),)}}, 0),
+        ({"a": {"b": _DARTS + (("e\x7f", 1),)}}, 0),
+        ({"a": {"b": _DARTS + (("\u00e9", 1),)}}, 0),
+        ({"a": {"b": _table()}}, 1),  # the `abel map` values table
+        ({"a": {"b": _TERMS}}, 1),  # polynomial terms
+        ({"a": {"b": _TERMS + [{"z": 1, "w": 0, "coeff": 7}]}}, 0),  # str and int in one column
+        ({"a": {"b": _TERMS + [{"z": 1, "w": 0, "coeff": "\u00e9"}]}}, 0),  # a str json escapes
+        ({"a": {"b": {"w%d" % i: {"x%d": i, "y": 2} for i in range(cli._MIN_ROWS)}}}, 1),  # % in a key of the template
+        ({"a": {"b": {"w%d" % i: {"x": i} for i in range(cli._MIN_ROWS)}}}, 0),  # rows of one key
+        ({"a": {"b": _table(last={("z%d" % i if i else "y"): 0 for i in range(7)})}}, 0),  # another key set of that size
+    ],
+)
+def test_emit_row_templates_at_depth(payload, templates, monkeypatch):
+    """How many containers one % template writes; every other one is written the general way."""
+    written = []
+    rows_text = cli._rows_text
+    monkeypatch.setattr(cli, "_rows_text", lambda *args: _keep_if(written, rows_text(*args)))
+    assert cli._json_text(payload) + "\n" == _json_reference(payload)
+    assert len(written) == templates
+
+
+def _keep_if(kept, text):
+    if text is not None:
+        kept.append(text)
+    return text
 
 
 def test_emit_refuses_keys_json_refuses():

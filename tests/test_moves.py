@@ -592,11 +592,19 @@ def test_mutate_epsilon_involution():
 
 
 def test_sequence_weight_errors():
+    """Each error names an edge at fault: the least missing one, else the least unknown one, else the least zero one."""
     g = _square()
     script = moves.load_script(bundled_script("translation_x"))
-    with pytest.raises(moves.MoveError):
+    cover = "weights must cover exactly the base edges: "
+    with pytest.raises(moves.MoveError, match="^%sno weight for edge h0,0$" % cover):
         moves.run_sequence(script, {})
     w = tg.all_ones_weights(g)
-    w["h0,0"] = Fraction(0)
-    with pytest.raises(moves.MoveError):
-        moves.run_sequence(script, w)
+    with pytest.raises(moves.MoveError, match="^%sno weight for edge v0,1$" % cover):
+        moves.run_sequence(script, {e: x for e, x in w.items() if e not in ("v0,1", "v1,1")} | {"zz": Fraction(1)})
+    with pytest.raises(moves.MoveError, match="^%sedge a9 is not in the base$" % cover):
+        moves.run_sequence(script, dict(w, zz=Fraction(1), a9=Fraction(2)))
+    w["v1,0"] = w["h1,1"] = Fraction(0)
+    for _ in range(2):  # a miss, then with the script traced
+        with pytest.raises(moves.MoveError, match="^weights must be nonzero: edge h1,1 has weight 0$"):
+            moves.run_sequence(script, w)
+        moves.run_sequence(script, tg.all_ones_weights(g))

@@ -531,7 +531,14 @@ def test_parse_weights():
         "b": Fraction(4),
         "c": Fraction(-7),
     }
-    for bad in ("1/0", "0/0", "x", "1/2/3", "", 0.5, True, None):
+    assert tg.parse_weights({"a": "+3/+9", "b": "-0", "c": "007/-14", "d": 10**40}) == {
+        "a": Fraction(1, 3),
+        "b": Fraction(0),
+        "c": Fraction(-1, 2),
+        "d": Fraction(10**40),
+    }
+    lenient = ("1_000", " 3 ", "3 ", "\t3", "3\n", "1 /2", "1/ 2", "\u0663/\u0664", "\u0663", "\uff13", "\u00bd", "\u00b2")
+    for bad in ("1/0", "0/0", "x", "1/2/3", "", 0.5, True, None) + lenient + ("+", "-/3", "3/", "/3", "++3", "0x10", "1e3", "3.0", [3]):
         with pytest.raises(ValueError, match="edge e7"):
             tg.parse_weights({"e0": "1", "e7": bad})
     with pytest.raises(ValueError):

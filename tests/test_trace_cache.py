@@ -4,9 +4,13 @@ import dataclasses
 import functools
 import gc
 import os
+import json
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -19,7 +23,8 @@ from test_fuzz_moves import (
     round_trip_script,
 )
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
 
 
 @pytest.fixture(autouse=True)
@@ -152,6 +157,115 @@ def test_hit_and_miss_match_the_uncached_run(name):
         assert cold == want and hit == want
         if zero_at is not None:
             assert want == (moves.MoveNotApplicable, "face %s has Delta = ac + bd = 0" % zero_at)
+
+
+def _push_fractions(recipe, w):
+    """Oracle: a recipe pushed through Fraction weights, as the moves did before weights were integer pairs."""
+    if recipe[0] == "spider":
+        _, _, sides, legs, quads = recipe
+        a, b, c, d = old = [w.pop(e) for e in sides]
+        for i in range(4):
+            w[legs[i]] = Fraction(1)
+            w[quads[i]] = old[(i + 2) % 4] / (a * c + b * d)
+    elif recipe[0] == "contract":
+        _, f1, f2, arc_u, arc_x = recipe
+        w1, w2 = w.pop(f1), w.pop(f2)
+        for arc, x in ((arc_u, w2), (arc_x, w1)):
+            for e in arc:
+                w[e] *= x
+    else:
+        w[recipe[1]] = w[recipe[2]] = Fraction(1)
+
+
+def expand_contract_script():
+    """A base with a 2-valent vertex, from one expansion of square_lattice, and a script that contracts it and expands back.
+
+    Unlike the shuffles, whose contractions only scale by weight-1 legs, the
+    contraction scales by the base weights of the two edges it removes.
+    """
+    g = tg.catalog("square_lattice").graph
+    v = min(v for v, c in g.vertices.items() if c == tg.BLACK)
+    base = moves.expand_vertex(g, tg.all_ones_weights(g), v, list(g.rotations[v][:2]), list(g.rotations[v][2:]), tag="x").graph
+    _, _, _, arc_u, arc_x = moves._apply_move(base, tg.all_ones_weights(base), {"contract": "xv"}, tag="m0").recipe
+    steps = [{"contract": "xv"}, {"expand": {"vertex": "m0cm", "first": list(arc_u), "second": list(arc_x)}}]
+    final, _, _ = moves._track_strands(base, tg.all_ones_weights(base), steps)
+    return moves.MoveScript("square_lattice", steps, moves.find_closing_isomorphism(final, base)), base
+
+
+PAIR_SCRIPTS = {
+    **{name: lambda name=name: (SCRIPTS[name](), None) for name in ("domino_shuffle", "translation_x", "translation_y")},
+    **{"shuffle_k%d" % k: lambda k=k: (SCRIPTS["shuffle_k%d" % k](), None) for k in (1, 2, 3, 4)},
+    "expand_contract": expand_contract_script,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SCRIPTS))
+def test_every_stored_pair_is_in_lowest_terms(name, monkeypatch):
+    """After each recipe, on a miss and on a hit, every weight is an int pair (n, d) with d > 0 and gcd 1.
+
+    On the hit, each pair equals what the Fraction oracle holds after that
+    recipe, and the result's weights are Fractions equal to the miss's, for
+    positive and signed draws alike.
+    """
+    script, base = PAIR_SCRIPTS[name]()
+    base = base or tg.resolve_graph(script.graph)
+    rng = random.Random(name)
+    signed = {e: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for e in sorted(base.edges)}
+    push, pushes, oracle = moves._push_weights, [], {}
+
+    def checked(recipe, w):
+        push(recipe, w)
+        pushes.append(recipe)
+        for n, d in w.values():
+            assert type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1, (recipe, n, d)
+        if oracle:
+            _push_fractions(recipe, oracle)
+            assert {e: Fraction(n, d) for e, (n, d) in w.items()} == oracle, recipe
+
+    monkeypatch.setattr(moves, "_push_weights", checked)
+    for weights in (tg.random_weights(base, rng), signed):
+        base.derived(moves._trace_table).clear()
+        oracle.clear()
+        del pushes[:]
+        miss = moves.run_sequence(script, weights, base)  # each move pushes the entries it reads
+        assert len(pushes) == len(script.moves) and len(base.derived(moves._trace_table)) == 1
+        oracle.update(weights)
+        del pushes[:]
+        hit = moves.run_sequence(script, weights, base)
+        assert len(pushes) == len(script.moves)
+        assert hit.weights == miss.weights and {type(x) for x in hit.weights.values()} == {Fraction}
+
+
+def test_zero_delta_on_a_hit_raises_under_optimize_flag(tmp_path):
+    """python -O keeps the Delta = 0 raise of the pair replay: its type and text on a miss and on a hit."""
+    data = bench_shuffle_script(2)
+    script = moves.load_script(data)
+    ones = tg.all_ones_weights(tg.resolve_graph(script.graph))
+    recipes = _recipes(script, ones)
+    i = _untouched_spiders(recipes, tg.resolve_graph(script.graph))[1]
+    weights = _zero_delta_weights(recipes, ones, i)
+    s, w = tmp_path / "s.json", tmp_path / "w.json"
+    s.write_text(json.dumps(data))
+    w.write_text(json.dumps(tg.weights_to_json(weights)))
+    code = (
+        "import json, sys\n"
+        "from dimermod import moves, torusgraph as tg\n"
+        "script = moves.load_script(json.load(open(%r)))\n"
+        "base = tg.resolve_graph(script.graph)\n"
+        "zero = tg.parse_weights(json.load(open(%r)))\n"
+        "out = [sys.flags.optimize]\n"
+        "for weights in (zero, tg.all_ones_weights(base), zero):\n"
+        "    try:\n"
+        "        moves.run_sequence(script, weights)\n"
+        "        out.append(None)\n"
+        "    except moves.MoveNotApplicable as exc:\n"
+        "        out.append([type(exc).__name__, str(exc), len(base.derived(moves._trace_table))])\n"
+        "print(json.dumps(out))\n"
+    ) % (str(s), str(w))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
+    error = ["MoveNotApplicable", "face %s has Delta = ac + bd = 0" % recipes[i][1]]
+    assert json.loads(out.stdout) == [1, error + [0], None, error + [1]]
 
 
 def test_zero_delta_before_a_bad_move_wins_on_every_call():
