@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 failed verification assertion, 2 input error,
 141 (128 + SIGPIPE) when the reader closes stdout before the report is
 written, as `| head` does.
+Polygon, weights and script files are read by `_read` alone, graph files by
+`torusgraph.resolve_graph`; a malformed file of any kind is an input error.
+Reports are written by `_json_text` alone.
 Reports are deterministic for identical inputs and seed; timings, in total,
 per suite and per check, are only attached under --timing so that
 byte-identical reruns stay the default.
@@ -35,29 +38,35 @@ class InputError(Exception):
     pass
 
 
-def _load_polygon(path):
+# What a bad input file raises: unreadable, not JSON, nested too deep to
+# decode, or a value its parser refuses (each DimermodError is a ValueError).
+_BAD_INPUT = (OSError, KeyError, ValueError, RecursionError)
+
+
+def _read(what, path, parse):
+    """parse of the JSON value in the file at path; a bad file is an InputError naming what and path."""
     try:
         with open(path) as fh:
-            return poly.load_polygon(fh)
-    except (OSError, KeyError, ValueError) as exc:
-        raise InputError("polygon %s: %s" % (path, exc))
+            return parse(json.load(fh))
+    except _BAD_INPUT as exc:
+        raise InputError("%s %s: %s" % (what, path, exc))
+
+
+def _load_polygon(path):
+    return _read("polygon", path, poly.load_polygon)
 
 
 def _load_graph(ref):
     try:
         return tg.resolve_graph(ref)
-    except (OSError, KeyError, ValueError) as exc:
+    except _BAD_INPUT as exc:
         raise InputError("graph %s: %s" % (ref, exc))
 
 
 def _load_weights(path, graph):
     if path is None:
         return tg.all_ones_weights(graph)
-    try:
-        with open(path) as fh:
-            w = tg.parse_weights(json.load(fh))
-    except (OSError, KeyError, ValueError) as exc:
-        raise InputError("weights %s: %s" % (path, exc))
+    w = _read("weights", path, tg.parse_weights)
     if w.keys() != graph.edges.keys():
         missing = sorted(graph.edges.keys() - w.keys())
         if missing:
@@ -79,10 +88,8 @@ def _json_text(x, ind="\n"):
     scalars (bools, None, floats, through json.dumps) recurse.  A container
     of _MIN_ROWS or more items that are rows of one shape (`_rows_text`:
     darts, faces, lifts, the `abel map` values table, polynomial terms) is
-    written by one % template; a shorter list of lists (a polygon's
-    vertices, say) in one nested comprehension; and a dict of five or more
-    str keys with str or int values (a weight table) by json's C encoder,
-    whose item separator carries the newline and indent.
+    written by one % template, and every other container by one join of its
+    items.
     """
     t = type(x)
     if t is str:
@@ -93,8 +100,6 @@ def _json_text(x, ind="\n"):
         if not x:
             return "{}"
         inner = ind + "  "
-        if len(x) >= 5 and set(map(type, x)) == _STRS and set(map(type, x.values())) <= _SCALARS:
-            return "{" + inner + _flat_dict_encoder(inner)(x)[1:-1] + ind + "}"
         items = sorted(x.items())
         if len(x) >= _MIN_ROWS:
             kinds = set(map(type, x.values()))
@@ -112,28 +117,14 @@ def _json_text(x, ind="\n"):
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
-        inner, kinds = ind + "  ", set(map(type, x))
-        if len(x) >= _MIN_ROWS and (kinds == _DICTS or kinds <= _SEQUENCES):
-            body = _rows_text(None, x, kinds, inner)
-            if body is not None:
-                return "[" + inner + body + ind + "]"
-        if kinds <= _SEQUENCES:  # a list of lists, each written here
-            deeper = inner + "  "
-            sep = "," + deeper
-            items = [
-                "["
-                + deeper
-                + sep.join(
-                    [_quote(a) if type(a) is str else int.__repr__(a) if type(a) is int else _json_text(a, deeper) for a in v]
-                )
-                + inner
-                + "]"
-                if v
-                else "[]"
-                for v in x
-            ]
-        else:
-            items = [_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _json_text(v, inner) for v in x]
+        inner = ind + "  "
+        if len(x) >= _MIN_ROWS:
+            kinds = set(map(type, x))
+            if kinds == _DICTS or kinds <= _SEQUENCES:
+                body = _rows_text(None, x, kinds, inner)
+                if body is not None:
+                    return "[" + inner + body + ind + "]"
+        items = [_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _json_text(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(items) + ind + "]"
     return json.dumps(x)
 
@@ -217,20 +208,15 @@ def _row_template(rows, inner, brackets, names=None):
 
 _DICTS, _INTS, _STRS = frozenset([dict]), frozenset([int]), frozenset([str])
 _SCALARS, _SEQUENCES = frozenset([int, str]), frozenset([list, tuple])
-# Below this many items the shape checks cost more than one template saves:
-# the `polygons` reports (2 to 8 rows) read 3 % slower per round without it.
+# Below this many items the shape checks cost about what one template saves:
+# timed over every report of one bench round (seed 7), the writer read within
+# 1.5 % of this value at 4, 5, 6 and 7 rows, inside the spread of the runs.
 _MIN_ROWS = 8
 
 
 def _verbatim(s):
     """Whether json writes s as s itself between quotes: printable ASCII with no quote or backslash."""
     return s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
-
-
-@functools.cache
-def _flat_dict_encoder(inner):
-    """json's C encoder for a dict of scalars, as `_json_text` nests it at indentation inner."""
-    return json.JSONEncoder(sort_keys=True, check_circular=False, separators=("," + inner, ": ")).encode
 
 
 def _json_key(k):
@@ -351,11 +337,7 @@ def cmd_abel_map(args):
 
 
 def _run_script(args):
-    try:
-        with open(args.script) as fh:
-            script = moves.load_script(fh)
-    except (OSError, KeyError, ValueError) as exc:
-        raise InputError("script %s: %s" % (args.script, exc))
+    script = _read("script", args.script, moves.load_script)
     base = _load_graph(script.graph)
     w = _load_weights(args.weights, base)
     return moves.run_sequence(script, w, base)

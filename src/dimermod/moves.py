@@ -10,7 +10,6 @@ the closing isomorphism.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
@@ -68,7 +67,7 @@ class MoveOutcome:
     weights: dict
     removed_darts: set
     avoid_darts: set
-    recipe: tuple = None  # set by a move that succeeded: see _push_weights
+    recipe: tuple  # what the move does to weights: see _push_weights
 
 
 def _push_weights(recipe, w):
@@ -405,13 +404,11 @@ class MoveScript:
         self.moves = list(moves)
         self.closing = closing
 
-    @classmethod
-    def from_json(cls, data):
-        """A script from its JSON object; MoveError names the key or move at fault."""
-        if not isinstance(data, dict):
-            data = json.load(data)
-        _check_script_shape(data)
-        return cls(graph=data["graph"], moves=data["moves"], closing=data["closing"])
+
+def load_script(data):
+    """The script of a decoded JSON value; MoveError names the key or move at fault."""
+    _check_script_shape(data)
+    return MoveScript(graph=data["graph"], moves=data["moves"], closing=data["closing"])
 
 
 def _check_script_shape(data):
@@ -554,13 +551,10 @@ def run_sequence(script, weights, base=None):
         base_poly, labels = newton_polygon(base)
         recipes = []
         g, w, anchors = _track_strands(base, weights, script.moves, recipes)
-        res = _close(script.closing, base, base_poly, labels, g, w, anchors)
-        if None not in recipes:
-            res = replace(res, shift_memo=[])
-            edge_map = dict(script.closing["edge_map"])
-            traces[key] = _Trace(tuple(recipes), edge_map, _with_weights(res, None))
-            if len(traces) > _TRACES_KEPT:
-                del traces[next(iter(traces))]
+        res = replace(_close(script.closing, base, base_poly, labels, g, w, anchors), shift_memo=[])
+        traces[key] = _Trace(tuple(recipes), dict(script.closing["edge_map"]), _with_weights(res, None))
+        if len(traces) > _TRACES_KEPT:
+            del traces[next(iter(traces))]
         return res
     traces[key] = trace  # now the most recently used
     w = {e: x.as_integer_ratio() for e, x in weights.items()}
@@ -778,10 +772,6 @@ def abel_shift(result, base_vertex=None):
     if memo is not None:
         memo[:] = (dict(result.fates), dict(shift))
     return shift
-
-
-def load_script(handle_or_dict):
-    return MoveScript.from_json(handle_or_dict)
 
 
 # -- brute-force closing helper ------------------------------------------------

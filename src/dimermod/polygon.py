@@ -9,7 +9,6 @@ only defined up to translation.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from math import gcd
 
@@ -455,11 +454,8 @@ def convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def load_polygon(handle_or_dict):
-    """Read `{"vertices": [[x, y], ...]}`; cw input is auto-reversed."""
-    data = handle_or_dict
-    if not isinstance(data, dict):
-        data = json.load(data)
+def load_polygon(data):
+    """The polygon of a decoded JSON value `{"vertices": [[x, y], ...]}`; cw input is auto-reversed."""
     if not isinstance(data, dict) or "vertices" not in data:
         raise PolygonError('a polygon is a JSON object {"vertices": [[x, y], ...]}')
     return validate_polygon(data["vertices"])

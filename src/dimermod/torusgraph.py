@@ -617,7 +617,6 @@ def _has_parallel_bigon(crossings, period):
 class Seed:
     face_ids: tuple
     epsilon: dict
-    face_cycles: dict
 
 
 def seed_of(g):
@@ -637,8 +636,7 @@ def seed_of(g):
             continue
         eps[right][left] += 1
         eps[left][right] -= 1
-    cycles = {f.id: f.darts for f in g.faces()}
-    return Seed(face_ids=fids, epsilon=eps, face_cycles=cycles)
+    return Seed(face_ids=fids, epsilon=eps)
 
 
 def face_variable(g, weights, cycle):

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import gc
+import importlib
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from dimermod import DimermodError, cli, moves, polygon as poly, spectral as sp, torusgraph as tg
 from dimermod import suites
 from dimermod.suites import bundled_script
+from test_torusgraph import _doubled_edge
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 DIAMOND = {"vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]]}
@@ -327,6 +329,9 @@ def test_input_error_exit_code(tmp_path, capsys):
     index2 = tg.catalog("honeycomb").graph.to_json()
     index2["edges"][1]["disp"] = [2, 0]
     i2 = _write(tmp_path, "i2.json", index2)
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)  # deeper than json can decode
+    deep = str(tmp_path / "deep.json")
+    sd = _write(tmp_path, "sd.json", dict(square, graph=deep))
     for argv, named in (
         (["spectral", "poly", "--graph", "honeycomb", "--weights", w], "edge e0"),
         (["shuffle", "apply", "--script", s, "--weights", sw], "face %s" % spider),
@@ -345,6 +350,11 @@ def test_input_error_exit_code(tmp_path, capsys):
         (["group", "compute", "--polygon", keyless], '{"vertices"'),
         (["graph", "check", "--graph", i2], "sublattice of index 2"),
         (["abel", "map", "--graph", i2], "sublattice of index 2"),
+        (["group", "compute", "--polygon", deep], "input error: polygon %s: " % deep),
+        (["graph", "check", "--graph", deep], "input error: graph %s: " % deep),
+        (["spectral", "poly", "--graph", "honeycomb", "--weights", deep], "input error: weights %s: " % deep),
+        (["shuffle", "apply", "--script", deep], "input error: script %s: " % deep),
+        (["shuffle", "apply", "--script", sd], "input error: graph %s: " % deep),
     ):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
@@ -565,10 +575,12 @@ def test_emit_writes_what_json_dumps_writes_for_every_command(tmp_path, capsys, 
     monkeypatch.setattr(cli, "_emit", lambda payload: payloads.append(payload) or emit(payload))
     argvs = list(_leaf_argvs(tmp_path).values())
     argvs += [["verify-all", "--suite", "spectral"], ["verify-all", "--suite", "spectral", "--timing"]]
+    doubled = _doubled_edge(tg.catalog("square_lattice").graph, "h0,0").to_json()
+    argvs.append(["graph", "check", "--graph", _write(tmp_path, "doubled.json", doubled)])  # not minimal
     for argv in argvs:
         assert cli.main(argv) == 0, argv
         assert capsys.readouterr().out == _json_reference(payloads[-1]), argv
-    assert len(payloads) == 15
+    assert len(payloads) == 16 and "certificate" in payloads[-1]
 
 
 _TEXT = st.text(st.sampled_from('ab"\\/\x00\x1f\x7fé \U0001f600 \n\t'), max_size=6)
@@ -582,7 +594,7 @@ _SCALARS = (
 )
 
 
-_FLAT = st.integers() | _TEXT  # the values of a dict the C encoder writes
+_FLAT = st.integers() | _TEXT  # the values of a flat dict, a weight table say
 _FLAT_LISTS = st.lists(_SCALARS, max_size=4) | st.lists(_SCALARS, max_size=4).map(tuple)
 _KEYS = _TEXT | st.sampled_from(["%", "%s", "%d", "a%%b", "%(x)s", "\u00e9%", "\u2603", "k\U0001f600"])
 _INTS = st.integers() | st.integers(min_value=10**999, max_value=10**1000 - 1)
@@ -660,32 +672,42 @@ def _table(n=cli._MIN_ROWS, last=_INT_ROW):
     return {"w%d" % i: dict(_INT_ROW if i < n - 1 else last) for i in range(n)}
 
 
+def _flat(x):
+    """Whether x is a dict of five or more str keys with int or str values, as a weight table is."""
+    return type(x) is dict and len(x) >= 5 and {type(k) for k in x} == {str} and {type(v) for v in x.values()} <= {int, str}
+
+
 @pytest.mark.parametrize(
-    "payload, fast",
+    "payload, joined",
     [
-        ({"a": {"b": _ROW}}, 1),  # a flat dict at depth 3, through the C encoder
+        ({"a": {"b": _ROW}}, 1),  # a flat dict at depth 3
         ({"a": [{"b": _ROW, "c": dict(_ROW, z9=10**40)}]}, 2),
-        ({"a": {"b": dict(_ROW, z1=True)}}, 0),  # a bool, None or float keeps it off that branch
+        ({"a": {"b": dict(_ROW, z1=True)}}, 0),  # a bool, None or float: not flat
         ({"a": {"b": dict(_ROW, z1=None)}}, 0),
         ({"a": {"b": dict(_ROW, z1=0.5)}}, 0),
-        ({"a": {"b": {k: _ROW[k] for k in list(_ROW)[:4]}}}, 0),  # and so do four entries
+        ({"a": {"b": {k: _ROW[k] for k in list(_ROW)[:4]}}}, 0),  # nor are four entries
         ({"a": {"b": [[1, "x"], [], ("y", -2), (), [None, True, 1.5, 10**30]]}}, 0),  # a list of flat lists
         ({"a": [[[[1, [2]], ({"k": 0},)], []]]}, 0),  # lists of lists that are not flat
         ({"a": {"b": _table()}}, 0),  # a table of int rows with one key set: a template
         ({"a": {"b": list(_table(last=dict(_INT_ROW, z0=10**40)).values())}}, 0),
-        ({"a": {"b": _table(cli._MIN_ROWS - 1)}}, cli._MIN_ROWS - 1),  # a shorter one: each row through the encoder
+        ({"a": {"b": _table(cli._MIN_ROWS - 1)}}, cli._MIN_ROWS - 1),  # a shorter one: each row joined
         ({"a": {"b": _table(last=dict(_INT_ROW, z9=0))}}, cli._MIN_ROWS),  # an extra key
         ({"a": {"b": _table(last=dict(list(_INT_ROW.items())[1:], y=0))}}, cli._MIN_ROWS),  # another key set
         ({"a": {"b": list(_table(last=dict(_INT_ROW, z1="x")).values())}}, cli._MIN_ROWS),  # a str in an int column
-        ({"a": {"b": list(_table(last=dict(_INT_ROW, z1=False)).values())}}, cli._MIN_ROWS - 1),  # a bool: the general way
+        ({"a": {"b": list(_table(last=dict(_INT_ROW, z1=False)).values())}}, cli._MIN_ROWS - 1),  # a bool
     ],
 )
-def test_emit_fast_branches_at_depth(payload, fast, monkeypatch):
+def test_emit_fast_branches_at_depth(payload, joined, monkeypatch):
+    """Flat dicts and lists of lists at depth are written as json.dumps writes them.
+
+    joined counts the flat dicts that `_json_text` writes by the general
+    join, one call each; a row template writes its rows with no call.
+    """
     calls = []
-    encoder = cli._flat_dict_encoder
-    monkeypatch.setattr(cli, "_flat_dict_encoder", lambda inner: calls.append(inner) or encoder(inner))
+    json_text = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda x, ind="\n": calls.append(x) or json_text(x, ind))
     assert cli._json_text(payload) + "\n" == _json_reference(payload)
-    assert len(calls) == fast
+    assert sum(map(_flat, calls)) == joined
 
 
 _DARTS = tuple(("e%d" % i, (-1) ** i) for i in range(cli._MIN_ROWS - 1)) + (("e%2", 1),)
@@ -696,7 +718,7 @@ _TERMS = [{"z": i, "w": 1, "coeff": "-%d/2" % i} for i in range(cli._MIN_ROWS)]
     "payload, templates",
     [
         ({"a": {"b": _DARTS}}, 1),  # darts: (str, int) rows, one template for the list
-        ({"a": {"b": _DARTS[1:]}}, 0),  # fewer than _MIN_ROWS rows: the nested comprehension
+        ({"a": {"b": _DARTS[1:]}}, 0),  # fewer than _MIN_ROWS rows: the general join
         ({"a": {"b": [list(d) for d in _DARTS] + [(7, -7)]}}, 0),  # str and int in one column
         ({"a": {"b": {"f%d" % i: _DARTS[: 1 + i % 3] for i in range(cli._MIN_ROWS)}}}, 1),  # faces: one for the dict
         ({"a": {"b": dict({"f%d" % i: _DARTS for i in range(cli._MIN_ROWS)}, f7=())}}, 7),  # an empty face: one each
@@ -828,7 +850,7 @@ def test_scripts_leave_the_shared_base_graph_unchanged(command, tmp_path, capsys
 
 
 def test_cli_import_loads_no_openssl_and_every_traced_module(monkeypatch):
-    """`hashlib` waits for verify-all; bench/bench_trace.py finds each module it wraps in sys.modules."""
+    """`hashlib` waits for verify-all; bench/bench_trace.py finds each module it wraps in sys.modules, and each name in its module."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = "import json, sys, dimermod.cli; print(json.dumps(sorted(sys.modules)))"
     run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True)
@@ -839,3 +861,11 @@ def test_cli_import_loads_no_openssl_and_every_traced_module(monkeypatch):
 
     wrapped = {"dimermod." + mod for mod, _, _ in bench_trace.SPANS + bench_trace.COUNTERS}
     assert wrapped <= set(loaded)
+    # as its Recorder looks each name up: a function on the module, a method in its class's __dict__
+    for mod, attr, _ in bench_trace.SPANS + bench_trace.COUNTERS:
+        home = importlib.import_module("dimermod." + mod)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in getattr(home, cls_name).__dict__, (mod, attr)
+        else:
+            assert callable(getattr(home, attr, None)), (mod, attr)

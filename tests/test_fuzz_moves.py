@@ -348,7 +348,9 @@ def _swap_edge_labels(g, weights, pair, tag=None):
     changed = {v for e in (e1, e2) for v in g.edges[e][:2]}
     out = tg.TorusGraph(dict(g.vertices), edges, rotations, parent=g, changed=changed)
     w = {swap.get(e, e): x for e, x in weights.items()}
-    return moves.MoveOutcome(graph=out, weights=w, removed_darts=set(), avoid_darts=set())
+    # no recipe relabels edges; this one is never replayed, as both trackers raise at this move
+    recipe = ("expand", e1, e2)
+    return moves.MoveOutcome(graph=out, weights=w, removed_darts=set(), avoid_darts=set(), recipe=recipe)
 
 
 @pytest.mark.parametrize("same_class", [True, False])

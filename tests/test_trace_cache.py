@@ -337,23 +337,6 @@ def test_the_cache_keeps_at_most_its_bound_least_recently_used_out():
     assert _text(scripts[0]) in traces(base)
 
 
-def test_a_script_with_a_move_that_has_no_recipe_is_never_kept(monkeypatch):
-    script = moves.load_script(bundled_script("domino_shuffle"))
-    weights = tg.random_weights(tg.resolve_graph(script.graph), random.Random(4))
-    want = _outcome(run_sequence_uncached, script, weights)
-    calls = []
-    spider = moves.spider_move
-
-    def without_recipe(*args, **kwargs):
-        calls.append(1)
-        return dataclasses.replace(spider(*args, **kwargs), recipe=None)
-
-    monkeypatch.setattr(moves, "spider_move", without_recipe)
-    for n in (1, 2):
-        assert _outcome(moves.run_sequence, script, weights) == want
-        assert traces(script.graph) == {} and len(calls) == 2 * n
-
-
 def test_a_callers_own_base_keeps_its_traces_and_they_die_with_it(monkeypatch):
     script = moves.load_script(bundled_script("domino_shuffle"))
     own = tg.catalog(script.graph).graph
