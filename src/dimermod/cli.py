@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
-from . import DimermodError, moves, polygon as poly, spectral as sp, suites, torusgraph as tg
+from . import DimermodError, polygon as poly
 from .groups import (
     ambient_quotient,
     build_j,
@@ -32,6 +33,32 @@ from .groups import (
     pic0_stack_presentation,
     torsion_lattice,
 )
+
+
+def _layer(name):
+    """The module dimermod.<name>, in sys.modules at once but run on its first attribute access.
+
+    A polygon command needs only `intlin`, `polygon` and `groups`, so the
+    graph layers and the suites are compiled and run only when a command
+    first reads one of their names (`importlib.util.LazyLoader`).  Code
+    that looks the module up in sys.modules finds it there from the start,
+    and it is the package's attribute too, so every import of it by name
+    gets this one object.
+    """
+    full = "%s.%s" % (__package__, name)
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+tg, sp, moves, suites = map(_layer, ("torusgraph", "spectral", "moves", "suites"))
+# `verify-all --suite` choices, written out so that building the parser runs no suite code
+SUITE_NAMES = ("appendix", "group", "moves", "spectral")
 
 
 class InputError(Exception):
@@ -245,7 +272,7 @@ def cmd_polygon_info(args):
             ],
             "genus": g,
             "interior_points": [list(q) for q in pts],
-            "boundary_points": len(p.boundary_lattice_points()),
+            "boundary_points": sum(p.multiplicities()),
             "area2": p.area2(),
         }
     )
@@ -441,7 +468,7 @@ def build_parser():
             c.set_defaults(func=func)
 
     c = sub.add_parser("verify-all", help="run the verification suites")
-    c.add_argument("--suite", choices=sorted(suites.SUITES))
+    c.add_argument("--suite", choices=SUITE_NAMES)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--timing", action="store_true")
     c.set_defaults(func=cmd_verify_all)

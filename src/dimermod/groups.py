@@ -33,8 +33,11 @@ def pair(a, b):
 
 
 def build_j(p):
-    """The embedding j: H_1 -> Z^{E_N}_0 as |E_N| integer rows, row rho the pairings of E_rho with a basis."""
-    rows = [[pair(e, (1, 0)), pair(e, (0, 1))] for e in p.edges()]
+    """The embedding j: H_1 -> Z^{E_N}_0 as |E_N| integer rows, row rho the pairings of E_rho with a basis.
+
+    pair(E, (1, 0)) = E.y and pair(E, (0, 1)) = -E.x.
+    """
+    rows = [[y, -x] for x, y in p.sides]
     if any(sum(col) != 0 for col in zip(*rows)):
         raise AssertionError("image must lie in the sum-zero lattice")
     return rows
@@ -68,24 +71,31 @@ class ClusterModularGroupResult:
         return d
 
 
-def _divisibility_sublattice_columns(mults):
-    """Basis columns of {f in Z^n_0 : m_rho | f_rho for all rho}.
-
-    Parameterized as f = (m_rho * a_rho) with sum m_rho a_rho = 0, so a basis
-    of the a-lattice is the kernel of the 1 x n matrix of multiplicities.
-    """
-    kern = intlin.kernel_basis([list(mults)])
-    return [[m * a for m, a in zip(mults, col)] for col in kern]
-
-
 def cluster_modular_group(p):
-    """The group G_N of the polygon, split by the interior-point case."""
+    """The group G_N of the polygon, split by the interior-point case.
+
+    With an interior point, G_N is Z^n_0 / j H_1 (`_sum_zero_cokernel`).
+    Without one it is Z^n_0 / D, D = {f in Z^n_0 : m_rho | f_rho for all
+    rho}, m_rho = |E_rho| the side multiplicities, read in closed form: the
+    invariant factors of diag(m_rho) with the least one, gcd(m), dropped.
+    Proof: reducing each f_rho mod m_rho maps Z^n_0 onto the residue tuples
+    t of M = Z/m_1 + ... + Z/m_n with sum t = 0 mod gcd(m), since moving a
+    lift by m_rho moves its sum by a multiple of gcd(m), and the kernel of
+    that map is D.  So G_N is the kernel of the sum map M -> Z/gcd(m).  At a
+    prime p, let p^e be the least power of p in the m_rho, at side sigma.
+    On p-parts the kernel is {t : sum t = 0 mod p^e}, whose projection onto
+    the sides other than sigma is one to one and onto, since the sum fixes
+    t_sigma mod p^e.  So it is M's p-part with one copy of Z/p^e dropped.
+    The least invariant factor of diag(m), gcd(m), is the product of those
+    least powers, and dropping it drops one least power at every prime.
+    """
     g = genus(p)
     n = len(p.vertices)
     if g >= 1:
         group = _sum_zero_cokernel(list(zip(*build_j(p))), n)
         return ClusterModularGroupResult(group=group, genus=g, case_tag="interior_point")
-    group = _sum_zero_cokernel(_divisibility_sublattice_columns(p.multiplicities()), n)
+    factors = intlin.diagonal_invariant_factors(p.multiplicities())[1:]
+    group = intlin.FgAbelianGroup(rank=0, torsion=tuple(d for d in factors if d >= 2))
     return ClusterModularGroupResult(group=group, genus=g, case_tag="no_interior_point")
 
 

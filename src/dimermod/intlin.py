@@ -6,9 +6,11 @@ arbitrary precision.  Nothing in this module touches floating point.  One
 normal form, the column Hermite form (`column_hermite`), answers every
 integer question.  It gives the canonical coset representative.  Stacked
 over the identity it carries its own unimodular transform, from which the
-integer solver and the kernel are read (`stacked_hermite`).  Taken of a
-matrix and its transpose in turn it reaches a diagonal, from which
-`smith_normal_form` reads the invariant factors.
+integer solver is read (`stacked_hermite`).  Taken of a matrix and its
+transpose in turn it reaches a diagonal, from which `smith_normal_form`
+reads the invariant factors.  A lattice in the plane, the row lattice of a
+matrix of two columns, has its Hermite basis built directly, by one pass of
+extended gcds over the rows (`row_lattice_basis`).
 """
 
 from __future__ import annotations
@@ -82,7 +84,16 @@ def smith_normal_form(b):
     h, pivots = column_hermite(b)
     while sum(1 for row in h for x in row if x) > len(pivots):
         h, pivots = column_hermite([list(col) for col in zip(*h)])
-    d = [h[r][j] for j, r in enumerate(pivots)]
+    return diagonal_invariant_factors([h[r][j] for j, r in enumerate(pivots)])
+
+
+def diagonal_invariant_factors(diagonal):
+    """The invariant factors d1 | d2 | ... of a diagonal matrix of positive entries.
+
+    Each pair (x, y) of entries is replaced by (gcd, lcm), which keeps the
+    group Z/x + Z/y; after every pair, each entry divides the next.
+    """
+    d = list(diagonal)
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             g = gcd(d[i], d[j])
@@ -101,12 +112,43 @@ def cokernel(b, rows=None):
 
 
 def row_lattice_basis(b):
-    """A basis of the row lattice of B, as the columns of the column Hermite form of B^T.
+    """A Hermite basis of the row lattice of B, of one or two columns, as the columns of a matrix.
 
-    For B with two columns and rank 2 that is a lower triangular 2 x 2
-    matrix with positive diagonal.
+    One column: [[g]], g > 0 the gcd of the column, or [[]] if it is zero.
+    Two columns (an empty B counts as two) span a lattice in the plane.  Its
+    basis is [[a, 0], [c, d]] at rank 2, with a, d > 0 and 0 <= c < d;
+    [[a], [c]] with a > 0 or [[0], [d]] with d > 0 at rank 1; [[], []] at
+    rank 0.  It is built by one pass over the rows: a row (x, y) joins the
+    basis vectors (a, c) and (0, d) by the extended gcd g = u a + v x.  The
+    unimodular [[u, v], [x/g, -a/g]] turns (a, c) and (x, y) into
+    (g, u c + v y) and (0, (x c - a y) / g), and the second is folded into
+    d by a gcd.  This is `column_hermite` of B^T but for the lower left
+    entry, which that leaves unreduced.
     """
-    return column_hermite([list(col) for col in zip(*b)])[0]
+    if b and len(b[0]) == 1:
+        g = gcd(*(x for x, in b))
+        return [[g]] if g else [[]]
+    a = c = d = 0
+    for x, y in b:
+        if x:
+            g, u, v = _extended_gcd(a, x)
+            a, c, d = g, u * c + v * y, gcd(d, x // g * c - a // g * y)
+        elif y:
+            d = gcd(d, y)
+        if d:
+            c %= d
+    if a:
+        return [[a, 0], [c, d]] if d else [[a], [c]]
+    return [[0], [d]] if d else [[], []]
+
+
+def _extended_gcd(a, b):
+    """(g, u, v) with g = gcd(a, b) = u a + v b and g >= 0."""
+    u, v, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, u, v, u1, v1 = b, r, u1, v1, u - q * u1, v - q * v1
+    return (a, u, v) if a >= 0 else (-a, -u, -v)
 
 
 def stacked_hermite(b):
@@ -129,13 +171,6 @@ def solve_stacked(y, h, pivots):
     if any(out[: len(y)]):
         return None
     return [-x for x in out[len(y) :]]
-
-
-def kernel_basis(b):
-    """Columns forming a saturated Z-basis of {x : B x = 0} (`stacked_hermite`)."""
-    rows, cols = mat_shape(b)
-    h, pivots = stacked_hermite(b)
-    return [[h[i][j] for i in range(rows, rows + cols)] for j in range(len(pivots), cols)]
 
 
 def column_hermite(b):

@@ -9,7 +9,7 @@ only defined up to translation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from . import DimermodError
@@ -28,10 +28,6 @@ class NotClosed(PolygonError):
 
 
 class RepeatedVertex(PolygonError):
-    pass
-
-
-class NotUnimodular(PolygonError):
     pass
 
 
@@ -72,41 +68,37 @@ class EdgeDatum:
 
 @dataclass(frozen=True)
 class ConvexIntegralPolygon:
+    """A convex polygon by its vertices and its sides, both counterclockwise.
+
+    Side i is the edge vector from vertex i to vertex i + 1 (mod n), as
+    `validate_polygon` computed it with its checks; everything about the
+    sides is read from this tuple.
+    """
+
     vertices: tuple
+    sides: tuple = field(compare=False, repr=False)
 
     def __len__(self):
         return len(self.vertices)
 
-    def edges(self):
-        """Counterclockwise edge vectors, one per side."""
-        vs = self.vertices
-        return [vsub(vs[(i + 1) % len(vs)], vs[i]) for i in range(len(vs))]
-
     def edge_data(self):
         out = []
-        for i, e in enumerate(self.edges()):
-            p = primitive(e)
+        for i, (x, y) in enumerate(self.sides):
+            m = gcd(x, y)
+            p = (x // m, y // m)
             # interior lies to the left of each ccw edge
-            u = (-p[1], p[0])
             out.append(
-                EdgeDatum(
-                    index=i,
-                    vector=e,
-                    primitive_direction=p,
-                    multiplicity=abs(gcd(e[0], e[1])),
-                    inward_normal=u,
-                )
+                EdgeDatum(index=i, vector=(x, y), primitive_direction=p, multiplicity=m, inward_normal=(-p[1], p[0]))
             )
         return out
 
     def multiplicities(self):
         """Lattice length of each side: the gcd of its edge vector."""
-        return [gcd(e[0], e[1]) for e in self.edges()]
+        return [gcd(x, y) for x, y in self.sides]
 
     def area2(self):
-        """Twice the area (shoelace); positive for ccw polygons."""
-        vs = self.vertices
-        return sum(cross(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
+        """Twice the area (shoelace, cross(v_i, v_i+1) = cross(v_i, side i)); positive for ccw polygons."""
+        return sum(x * ey - y * ex for (x, y), (ex, ey) in zip(self.vertices, self.sides))
 
     def bounding_box(self):
         xs = [v[0] for v in self.vertices]
@@ -115,9 +107,8 @@ class ConvexIntegralPolygon:
 
     def contains(self, p, strict=False):
         """Point-in-polygon with exact arithmetic; strict excludes the boundary."""
-        vs = self.vertices
-        for i in range(len(vs)):
-            c = cross(vsub(vs[(i + 1) % len(vs)], vs[i]), vsub(p, vs[i]))
+        for v, e in zip(self.vertices, self.sides):
+            c = cross(e, vsub(p, v))
             if c < 0 or (strict and c == 0):
                 return False
         return True
@@ -135,17 +126,15 @@ class ConvexIntegralPolygon:
     def boundary_lattice_points(self):
         """Boundary lattice points in ccw cyclic order starting at vertex 0."""
         out = []
-        vs = self.vertices
-        for i, v in enumerate(vs):
-            e = vsub(vs[(i + 1) % len(vs)], v)
-            k = abs(gcd(e[0], e[1]))
-            step = primitive(e)
+        for v, e in zip(self.vertices, self.sides):
+            k = gcd(e[0], e[1])
+            step = (e[0] // k, e[1] // k)
             for t in range(k):
                 out.append((v[0] + t * step[0], v[1] + t * step[1]))
         return out
 
     def translate(self, t):
-        return ConvexIntegralPolygon(tuple(vadd(v, t) for v in self.vertices))
+        return ConvexIntegralPolygon(tuple(vadd(v, t) for v in self.vertices), self.sides)
 
     def to_json(self):
         return {"vertices": [list(v) for v in self.vertices]}
@@ -153,11 +142,10 @@ class ConvexIntegralPolygon:
 
 def is_int_pair(v):
     """True iff v is a list or tuple of two ints (bools excluded)."""
-    return (
-        isinstance(v, (list, tuple))
-        and len(v) == 2
-        and all(isinstance(c, int) and not isinstance(c, bool) for c in v)
-    )
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        return False
+    x, y = v
+    return isinstance(x, int) and isinstance(y, int) and not isinstance(x, bool) and not isinstance(y, bool)
 
 
 def validate_polygon(vertices):
@@ -165,36 +153,61 @@ def validate_polygon(vertices):
 
     Clockwise input is re-oriented counterclockwise; genuinely non-convex or
     degenerate input raises.  Three consecutive collinear vertices are
-    rejected so that sides and their multiplicities are well defined.
+    rejected so that sides and their multiplicities are well defined.  The
+    sides are built once, in one pass, and every check after the repeated
+    vertices reads them: the turn at a vertex is the cross product of the
+    sides into and out of it.  Each error names the vertex at fault by its
+    index in the input and its point.
     """
     if not isinstance(vertices, (list, tuple)):
         raise PolygonError("vertices must be a list of integer pairs")
-    vs = []
-    for i, v in enumerate(vertices):
-        if not is_int_pair(v):
-            raise PolygonError("vertex %d %r is not a pair of integers" % (i, v))
-        vs.append(tuple(v))
-    if len(vs) < 3:
-        raise NotConvex("a polygon needs at least 3 vertices")
-    if len(set(vs)) != len(vs):
-        raise RepeatedVertex("repeated vertex in input")
+    vs = [tuple(v) for v in vertices if is_int_pair(v)]
+    if len(vs) != len(vertices):
+        i, v = next((i, v) for i, v in enumerate(vertices) if not is_int_pair(v))
+        raise PolygonError("vertex %d %r is not a pair of integers" % (i, v))
     n = len(vs)
-    signs = []
-    for i in range(n):
-        a, b, c = vs[i], vs[(i + 1) % n], vs[(i + 2) % n]
-        signs.append(cross(vsub(b, a), vsub(c, b)))
-    if any(s == 0 for s in signs):
-        raise NotConvex("three consecutive vertices are collinear")
-    if all(s < 0 for s in signs):
+    if n < 3:
+        raise NotConvex("a polygon needs at least 3 vertices")
+    if len(set(vs)) != n:
+        j, i = _first_repeat(vs)
+        raise RepeatedVertex("repeated vertex in input: vertices %d and %d are both %s" % (j, i, list(vs[i])))
+    sides = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1])]
+    turns = [a[0] * b[1] - a[1] * b[0] for a, b in zip(sides[-1:] + sides[:-1], sides)]
+    if 0 in turns:
+        i = turns.index(0)
+        raise NotConvex(
+            "three consecutive vertices are collinear: vertex %d %s is on the line through its neighbours"
+            % (i, list(vs[i]))
+        )
+    if max(turns) < 0:
         vs.reverse()
-    elif not all(s > 0 for s in signs):
-        raise NotConvex("vertex sequence is not convex")
-    turns = _full_turns([vsub(vs[(i + 1) % n], vs[i]) for i in range(n)])
-    if turns != 1:
-        raise NotConvex("side directions turn %d times around, not once" % turns)
+        sides = [(-x, -y) for x, y in sides[-2::-1] + sides[-1:]]
+    elif min(turns) < 0:
+        i = _first_minority_turn(turns)
+        raise NotConvex(
+            "vertex sequence is not convex: vertex %d %s turns against the others" % (i, list(vs[i]))
+        )
+    windings = _full_turns(sides)
+    if windings != 1:
+        raise NotConvex("side directions turn %d times around, not once" % windings)
     start = vs.index(min(vs))
-    vs = vs[start:] + vs[:start]
-    return ConvexIntegralPolygon(tuple(vs))
+    return ConvexIntegralPolygon(tuple(vs[start:] + vs[:start]), tuple(sides[start:] + sides[:start]))
+
+
+def _first_repeat(vs):
+    """(j, i), j < i, for the first vertex i that repeats an earlier vertex j."""
+    first = {}
+    for i, v in enumerate(vs):
+        j = first.setdefault(v, i)
+        if j != i:
+            return j, i
+
+
+def _first_minority_turn(turns):
+    """The first vertex whose nonzero turn has the sign fewer vertices take (right turns on a tie)."""
+    left = sum(t > 0 for t in turns)
+    right = len(turns) - left
+    return next(i for i, t in enumerate(turns) if (t > 0 if left < right else t < 0))
 
 
 def _full_turns(sides):
@@ -253,8 +266,7 @@ def _interior_points_by_column(p):
     least or greatest x, where no point is interior.  Nothing scans the
     bounding box, and the walk stops when its caller does.
     """
-    vs = p.vertices
-    sides = [(v, vsub(w, v)) for v, w in zip(vs, vs[1:] + vs[:1])]
+    sides = list(zip(p.vertices, p.sides))
     lower = [(v, e) for v, e in sides if e[0] > 0]
     upper = [(v, e) for v, e in sides if e[0] < 0]
     (x0, _), (x1, _) = p.bounding_box()
@@ -273,7 +285,7 @@ def interior_lattice_points(p):
     `lattice_point_count` in O(#vertices).
     """
     pts = list(_interior_points_by_column(p))
-    boundary = len(p.boundary_lattice_points())
+    boundary = sum(p.multiplicities())
     # Pick: 2*Area = 2*I + B - 2, exactly.
     if p.area2() != 2 * len(pts) + boundary - 2:
         raise AssertionError("Pick's theorem violated; polygon data corrupt")
@@ -294,14 +306,6 @@ def genus(p):
 def lattice_point_count(p):
     """Number of lattice points of the closed polygon, I + B, by Pick's theorem."""
     return _pick_counts(p.area2(), sum(p.multiplicities()))[0]
-
-
-def apply_sl2(p, m):
-    """Transform vertices by a det-1 integer matrix."""
-    (a, b), (c, d) = m
-    if a * d - b * c != 1:
-        raise NotUnimodular("matrix determinant must be 1")
-    return validate_polygon([(a * x + b * y, c * x + d * y) for x, y in p.vertices])
 
 
 def is_building_block(p):

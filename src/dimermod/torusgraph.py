@@ -440,10 +440,11 @@ class TorusGraph:
 def _span_index(classes):
     """Index of the span of the cycle classes in H_1 of the torus, Z^2, or None if infinite.
 
-    It is the product of the pivots of the classes' column Hermite form.
+    It is the product of the pivots of the Hermite basis of the lattice the
+    classes span (`intlin.row_lattice_basis`).
     """
-    h, pivots = intlin.column_hermite([[c[0] for c in classes], [c[1] for c in classes]])
-    return h[0][0] * h[1][1] if len(pivots) == 2 else None
+    h = intlin.row_lattice_basis(classes)
+    return h[0][0] * h[1][1] if len(h[0]) == 2 else None
 
 
 def is_id_list(x):

@@ -1,15 +1,19 @@
 """Pivoting Smith normal form with both unimodular transforms, the reference
-for `intlin.smith_normal_form`, `intlin.kernel_basis` and the integer solver
+for `intlin.smith_normal_form`, `kernel_basis` and the integer solver
 `solve_integer` of `test_intlin.py` (`intlin.solve_stacked`).
 
 It picks the smallest nonzero entry as pivot (ties by position) and keeps
 U and V through every row and column operation, so U B V == D.  `intlin`
 answers the same questions from column Hermite forms alone.
+
+`kernel_basis` and `divisibility_sublattice_columns` are the route by which
+the group G_N of a polygon without an interior point was once computed,
+kept here as the oracle of its closed form (`groups.cluster_modular_group`).
 """
 
 from dataclasses import dataclass
 
-from dimermod.intlin import DimensionMismatch, identity_matrix, mat_shape
+from dimermod.intlin import DimensionMismatch, identity_matrix, mat_shape, stacked_hermite
 
 
 def mat_vec(a, x):
@@ -156,3 +160,21 @@ def smith_normal_form(b):
                 row_op(bad, k, -1)
 
     return SmithDecomposition(u=u, d=d, v=v)
+
+
+def kernel_basis(b):
+    """Columns forming a saturated Z-basis of {x : B x = 0}: the lower halves
+    of the columns of B's `stacked_hermite` form past its pivots."""
+    rows, cols = mat_shape(b)
+    h, pivots = stacked_hermite(b)
+    return [[h[i][j] for i in range(rows, rows + cols)] for j in range(len(pivots), cols)]
+
+
+def divisibility_sublattice_columns(mults):
+    """Basis columns of {f in Z^n_0 : m_rho | f_rho for all rho}.
+
+    Parameterized as f = (m_rho * a_rho) with sum m_rho a_rho = 0, so a basis
+    of the a-lattice is the kernel of the 1 x n matrix of multiplicities.
+    """
+    kern = kernel_basis([list(mults)])
+    return [[m * a for m, a in zip(mults, col)] for col in kern]

@@ -326,6 +326,10 @@ def test_input_error_exit_code(tmp_path, capsys):
     extra = _write(tmp_path, "extra.json", {"e0": "1", "e1": "1", "e2": "1", "e9": "5"})
     lenient = _write(tmp_path, "lenient.json", {"e0": "1", "e1": "1_000", "e2": "1"})
     keyless = _write(tmp_path, "keyless.json", {"vertexes": [[0, 0], [1, 0], [0, 1]]})
+    repeat = _write(tmp_path, "repeat.json", {"vertices": [[0, 0], [1, 0], [0, 1], [0, 0]]})
+    straight = _write(tmp_path, "straight.json", {"vertices": [[0, 0], [1, 0], [2, 0], [0, 1]]})
+    dent = _write(tmp_path, "dent.json", {"vertices": [[0, 0], [4, 0], [1, 1], [0, 4]]})
+    dent_cw = _write(tmp_path, "dent_cw.json", {"vertices": [[0, 0], [0, 4], [1, 1], [4, 0]]})
     index2 = tg.catalog("honeycomb").graph.to_json()
     index2["edges"][1]["disp"] = [2, 0]
     i2 = _write(tmp_path, "i2.json", index2)
@@ -336,6 +340,10 @@ def test_input_error_exit_code(tmp_path, capsys):
         (["spectral", "poly", "--graph", "honeycomb", "--weights", w], "edge e0"),
         (["shuffle", "apply", "--script", s, "--weights", sw], "face %s" % spider),
         (["group", "compute", "--polygon", p], "vertex 1 [2.5, 0]"),
+        (["group", "compute", "--polygon", repeat], ": repeated vertex in input: vertices 0 and 3 are both [0, 0]\n"),
+        (["polygon", "info", "--polygon", straight], ": three consecutive vertices are collinear: vertex 1 [1, 0] "),
+        (["bb", "find", "--polygon", dent], ": vertex sequence is not convex: vertex 2 [1, 1] turns against"),
+        (["group", "pic0", "--polygon", dent_cw], ": vertex sequence is not convex: vertex 2 [1, 1] turns against"),
         (["graph", "check", "--graph", g], "edge e1"),
         (["shuffle", "apply", "--script", c], "vertex nope"),
         (["shuffle", "apply", "--script", x], "move 0"),
@@ -869,3 +877,31 @@ def test_cli_import_loads_no_openssl_and_every_traced_module(monkeypatch):
             assert meth in getattr(home, cls_name).__dict__, (mod, attr)
         else:
             assert callable(getattr(home, attr, None)), (mod, attr)
+
+
+def test_polygon_commands_leave_the_graph_layers_unrun(tmp_path):
+    """The six polygon commands run `intlin`, `polygon` and `groups` alone; the other layers wait, lazy, in sys.modules."""
+    p = _write(tmp_path, "d.json", DIAMOND)
+    thin = _write(tmp_path, "t.json", {"vertices": [[0, 0], [5, 0], [1, 1]]})
+    argvs = [[*cmd, "--polygon", path] for path in (p, thin) for cmd in (
+        ["polygon", "info"], ["group", "compute"], ["group", "torsion-lattice"], ["group", "pic0"],
+        ["group", "max-translation-polygon"], ["bb", "find"],
+    )]
+    code = (
+        "import contextlib, io, json, sys, types\n"
+        "from dimermod import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in %r]\n"
+        "run = sorted(n for n, m in sys.modules.items() if n.startswith('dimermod.') and type(m) is types.ModuleType)\n"
+        "print(json.dumps([codes, run, sorted(n for n in sys.modules if n.startswith('dimermod.'))]))\n"
+    ) % (argvs,)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    codes, run, present = json.loads(out.stdout)
+    assert codes == [0] * 6 + [0, 0, 2, 2, 2, 2]
+    assert run == ["dimermod.cli", "dimermod.groups", "dimermod.intlin", "dimermod.polygon"]
+    assert set(present) - set(run) == {"dimermod.moves", "dimermod.spectral", "dimermod.suites", "dimermod.torusgraph"}
+
+
+def test_suite_names_are_the_suites():
+    assert list(cli.SUITE_NAMES) == sorted(suites.SUITES)

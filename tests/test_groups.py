@@ -20,7 +20,8 @@ from dimermod.groups import (
     pic0_stack_presentation,
     torsion_lattice,
 )
-from smith_oracle import mat_vec, smith_normal_form as smith_oracle
+from smith_oracle import divisibility_sublattice_columns, mat_vec, smith_normal_form as smith_oracle
+from test_polygon import apply_sl2
 
 DIAMOND = poly.validate_polygon([(1, 0), (0, 1), (-1, 0), (0, -1)])
 UNIT_TRIANGLE = poly.validate_polygon([(0, 0), (1, 0), (0, 1)])
@@ -164,7 +165,7 @@ def test_max_translation_trivial_torsion_gives_back_n():
             continue
         seen += 1
         mt = max_translation_polygon(p)
-        reflected = poly.apply_sl2(p, [[-1, 0], [0, -1]])
+        reflected = apply_sl2(p, [[-1, 0], [0, -1]])
         base = min(reflected.vertices)
         assert poly.translation_equal(mt.polygon, reflected.translate((-base[0], -base[1])))
 
@@ -216,8 +217,40 @@ def test_torsion_of_group_matches_ambient():
         assert (group.rank + 1, group.torsion) == (a.rank, a.torsion), p.vertices
     for p in g0:
         group = cluster_modular_group(p).group
-        a = _ambient_by_smith(groups._divisibility_sublattice_columns(p.multiplicities()), len(p.vertices))
+        a = _ambient_by_smith(divisibility_sublattice_columns(p.multiplicities()), len(p.vertices))
         assert (group.rank + 1, group.torsion) == (a.rank, a.torsion), p.vertices
+
+
+def _genus_zero_group_by_sublattice(p):
+    """G_N of a polygon without interior point as Z^n_0 / D, D the divisibility sublattice."""
+    return groups._sum_zero_cokernel(divisibility_sublattice_columns(p.multiplicities()), len(p.vertices))
+
+
+def _lattice_width_one_polygons(rng, trials):
+    """Genus-0 quadrilaterals and triangles on two adjacent lines, long sides up to 10^6, in SL2 images."""
+    for trial in range(trials):
+        hi = (3, 40, 10**6)[trial % 3]
+        a = rng.randint(1, hi)
+        b = rng.randint(0, hi)
+        c = b if trial % 4 == 0 else rng.randint(b + 1, b + hi)
+        pts = [(0, 0), (a, 0), (c, 1), (b, 1)][: 3 if c == b else 4]
+        yield apply_sl2(poly.validate_polygon(pts), SL2[trial % len(SL2)])
+
+
+def test_genus_zero_closed_form_matches_the_sublattice_cokernel():
+    # the invariant factors of diag(m) past the least against Z^n_0 / D,
+    # the route G_N took before the closed form
+    polygons = [p for seed in range(6) for p in suites.random_polygon_corpus(seed)[1]]
+    polygons += list(_lattice_width_one_polygons(random.Random(26), 240))
+    groups_seen = set()
+    for p in polygons:
+        assert poly.genus(p) == 0, p.vertices
+        res = cluster_modular_group(p)
+        assert res.case_tag == "no_interior_point"
+        assert res.group == _genus_zero_group_by_sublattice(p), p.vertices
+        groups_seen.add(res.group.torsion)
+    assert max(max(p.multiplicities()) for p in polygons) > 10**5
+    assert len(groups_seen) > 100 and (2, 2) in groups_seen
 
 
 def _partial_sums_cokernel(cols, n):
@@ -238,7 +271,7 @@ def test_sum_zero_cokernel_matches_the_partial_sums_route():
             scaled = [(d.multiplicity * u[0], d.multiplicity * u[1]) for d in p.edge_data() for u in [d.inward_normal]]
             for cols in (
                 list(zip(*build_j(p))),
-                groups._divisibility_sublattice_columns(p.multiplicities()),
+                divisibility_sublattice_columns(p.multiplicities()),
                 [[pair(v, m) for v in scaled] for m in ((1, 0), (0, 1))],
             ):
                 assert groups._sum_zero_cokernel(cols, n) == _partial_sums_cokernel(cols, n), p.vertices
@@ -366,7 +399,7 @@ def _oracle_polygons():
         g1, _ = suites.random_polygon_corpus(seed)
         for i, p in enumerate(g1):
             yield p
-            yield poly.apply_sl2(p, SL2[i % len(SL2)])
+            yield apply_sl2(p, SL2[i % len(SL2)])
     yield poly.validate_polygon([(0, 0), (3000, 0), (0, 3000)])
 
 

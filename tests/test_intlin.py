@@ -6,7 +6,7 @@ import random
 import pytest
 
 from dimermod import intlin
-from smith_oracle import mat_vec, smith_normal_form as smith_oracle
+from smith_oracle import kernel_basis, mat_vec, smith_normal_form as smith_oracle
 
 DIAMOND_B = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
 
@@ -182,8 +182,27 @@ def test_row_lattice_basis_is_lower_triangular():
         assert a * d == d1 * d2
 
 
+def test_row_lattice_basis_matches_the_hermite_form_of_the_transpose():
+    # one column reads its gcd and two columns take the pass of extended gcds;
+    # either way the basis is the column Hermite form of B^T, pivots and all,
+    # but for the lower left entry, reduced mod d
+    shapes = set()
+    for b in _narrow_matrices(random.Random(23)):
+        got = intlin.row_lattice_basis(b)
+        want = intlin.column_hermite(_transpose(b))[0]
+        if len(b[0]) == 2 and len(want[0]) == 2:
+            assert 0 <= got[1][0] < got[1][1], b
+            want[1][0] %= want[1][1]
+        assert got == want, b
+        if len(b[0]) == 2:
+            shapes.add("".join("a" if x > 0 else "0" if x == 0 else "-" for row in got for x in row))
+    # [[a, 0], [c, d]], [[a], [c]], [[0], [d]] and [[], []], c of any sign at rank 1
+    assert {"a00a", "a0aa", "aa", "a-", "a0", "0a", ""} <= shapes, shapes
+    assert intlin.row_lattice_basis([]) == [[], []]
+
+
 def test_kernel_basis_sum_zero_lattice():
-    basis = intlin.kernel_basis([[1, 1, 1]])
+    basis = kernel_basis([[1, 1, 1]])
     assert len(basis) == 2
     for col in basis:
         assert sum(col) == 0
@@ -193,7 +212,7 @@ def test_kernel_basis_sum_zero_lattice():
 
 
 def test_kernel_of_invertible_is_empty():
-    assert intlin.kernel_basis([[2, 1], [1, 1]]) == []
+    assert kernel_basis([[2, 1], [1, 1]]) == []
 
 
 def test_kernel_random_annihilated_and_saturated():
@@ -206,7 +225,7 @@ def test_kernel_random_annihilated_and_saturated():
         small.append([[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)])
     for b in itertools.chain(small, _matrices(rng, 1), [CYCLING_T, _transpose(CYCLING_T)]):
         cols = len(b[0])
-        basis = intlin.kernel_basis(b)
+        basis = kernel_basis(b)
         assert len(basis) == cols - smith_oracle(b).rank(), b
         for col in basis:
             assert all(v == 0 for v in mat_vec(b, col))
@@ -214,7 +233,7 @@ def test_kernel_random_annihilated_and_saturated():
             mat = [[col[i] for col in basis] for i in range(cols)]
             assert smith_oracle(mat).invariant_factors() == [1] * len(basis)
     for b in ([], [[]], [[], []]):
-        assert intlin.kernel_basis(b) == []
+        assert kernel_basis(b) == []
 
 
 def test_reduce_mod_image():

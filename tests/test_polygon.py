@@ -18,7 +18,7 @@ def test_validate_diamond():
 
 def test_validate_unit_triangle():
     p = poly.validate_polygon([(0, 0), (1, 0), (0, 1)])
-    assert len(p.edges()) == 3
+    assert len(p.sides) == 3
     assert all(d.multiplicity == 1 for d in p.edge_data())
 
 
@@ -37,6 +37,27 @@ def test_validate_rejects():
         poly.validate_polygon([(0, 0), (2, 0), (2, 2), (1, 1), (0, 2)])
     with pytest.raises(poly.NotConvex):
         poly.validate_polygon([(0, 0), (1, 0)])
+
+
+@pytest.mark.parametrize(
+    "vertices, error, message",
+    [
+        ([(0, 0), (1, 0), (1, 0), (0, 1)], poly.RepeatedVertex, "vertices 1 and 2 are both [1, 0]"),
+        # repeats are found before turns, and every pair is checked before them
+        ([(0, 0), (2, 0), (1, 0), (0, 0)], poly.RepeatedVertex, "vertices 0 and 3 are both [0, 0]"),
+        ([(0, 0), (2, 0), (1, 0), (0, 1)], poly.NotConvex, "collinear: vertex 1 [2, 0] is on the line"),
+        ([(0, 0), (1, 0), (2, 0)], poly.NotConvex, "collinear: vertex 0 [0, 0] is on the line"),
+        ([(0, 0), (2, 0), (2, 2), (1, 1), (0, 2)], poly.NotConvex, "not convex: vertex 3 [1, 1] turns against"),
+        ([(0, 2), (1, 1), (2, 2), (2, 0), (0, 0)], poly.NotConvex, "not convex: vertex 1 [1, 1] turns against"),
+        # two left turns and two right turns: the first right turn is named
+        ([(0, 0), (2, 2), (2, 0), (0, 2)], poly.NotConvex, "not convex: vertex 1 [2, 2] turns against"),
+        ([(0, 0), (1, 0), (1.0, 1)], poly.PolygonError, "vertex 2 (1.0, 1) is not a pair of integers"),
+    ],
+)
+def test_validate_errors_name_the_vertex(vertices, error, message):
+    with pytest.raises(error) as exc:
+        poly.validate_polygon(vertices)
+    assert message in str(exc.value)
 
 
 STAR = [[25, -9], [-14, 4], [27, -30], [15, -20], [-30, 11], [-11, -23]]
@@ -80,7 +101,7 @@ def test_clockwise_input_reversed():
 
 def test_edge_vectors_close_up():
     p = poly.validate_polygon([(0, 0), (3, 1), (2, 4), (-1, 3)])
-    assert tuple(map(sum, zip(*p.edges()))) == (0, 0)
+    assert tuple(map(sum, zip(*p.sides))) == (0, 0)
 
 
 def test_square_side_two_multiplicities():
@@ -103,22 +124,34 @@ def test_inward_normals_point_inward():
         assert p.contains(probe)
 
 
+class NotUnimodular(ValueError):
+    pass
+
+
+def apply_sl2(p, m):
+    """The image of the polygon under a det-1 integer matrix, validated again."""
+    (a, b), (c, d) = m
+    if a * d - b * c != 1:
+        raise NotUnimodular("matrix determinant must be 1")
+    return poly.validate_polygon([(a * x + b * y, c * x + d * y) for x, y in p.vertices])
+
+
 def test_apply_sl2():
     p = poly.validate_polygon(DIAMOND)
-    assert poly.apply_sl2(p, [[1, 0], [0, 1]]).vertices == p.vertices
-    sheared = poly.apply_sl2(p, [[1, 1], [0, 1]])
+    assert apply_sl2(p, [[1, 0], [0, 1]]).vertices == p.vertices
+    sheared = apply_sl2(p, [[1, 1], [0, 1]])
     assert poly.genus(sheared) == 1
     assert sorted(d.multiplicity for d in sheared.edge_data()) == [1, 1, 1, 1]
     assert sheared.area2() == p.area2()
-    with pytest.raises(poly.NotUnimodular):
-        poly.apply_sl2(p, [[2, 0], [0, 1]])
-    with pytest.raises(poly.NotUnimodular):
-        poly.apply_sl2(p, [[0, 1], [1, 0]])
+    with pytest.raises(NotUnimodular):
+        apply_sl2(p, [[2, 0], [0, 1]])
+    with pytest.raises(NotUnimodular):
+        apply_sl2(p, [[0, 1], [1, 0]])
 
 
 def test_apply_sl2_rotation_of_triangle():
     tri = poly.validate_polygon([(0, 0), (1, 0), (0, 1)])
-    rot = poly.apply_sl2(tri, [[0, -1], [1, 0]])
+    rot = apply_sl2(tri, [[0, -1], [1, 0]])
     assert poly.genus(rot) == 0
 
 
@@ -190,7 +223,7 @@ def sheared_polygons(draw):
     p = draw(convex_polygons(bound=12))
     k = draw(st.integers(-4, 4))
     m = draw(st.sampled_from([[[1, k], [0, 1]], [[1, 0], [k, 1]], [[k, -1], [1, 0]]]))
-    return poly.apply_sl2(p, m)
+    return apply_sl2(p, m)
 
 
 @settings(max_examples=300, deadline=None)
@@ -335,7 +368,7 @@ def _building_block_corpus():
                 for f in (2, 3):
                     yield poly.validate_polygon([(f * x, f * y) for x, y in p.vertices])
                 for m in ([[1, 2], [0, 1]], [[1, 0], [-3, 1]], [[2, -1], [1, 0]]):
-                    yield poly.apply_sl2(p, m)
+                    yield apply_sl2(p, m)
     for s in list(range(1, 41)) + list(range(48, 81, 8)):
         yield poly.validate_polygon([(0, 0), (s, 0), (0, s)])
     # triangles whose three sides are primitive: no boundary point to cut at
