@@ -345,11 +345,3 @@ class Elimination:
                 out.sign = -out.sign
         return out
 
-
-def det(a):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise DimensionMismatch("determinant needs a square matrix")
-    e = Elimination(range(n)).extend(a)
-    return 0 if e is None else e.sign * e.pivot

@@ -308,11 +308,6 @@ def lattice_point_count(p):
     return _pick_counts(p.area2(), sum(p.multiplicities()))[0]
 
 
-def is_building_block(p):
-    """True iff exactly one interior lattice point and at most five in total."""
-    return genus(p) == 1 and lattice_point_count(p) <= 5
-
-
 def translation_equal(p, q):
     if len(p.vertices) != len(q.vertices):
         return False
@@ -412,18 +407,19 @@ def find_building_block(p):
     tuple) is taken, so the result is reproducible.  Every candidate is
     counted by Pick's theorem from its boundary, and the interior points of
     the fallback are walked column by column; no bounding box is scanned.
+    Each polygon of the loop is counted once.
     """
-    if genus(p) < 1:
-        raise NoInteriorPoint("polygon has no interior lattice point")
     q = p
-    while not is_building_block(q):
-        count = lattice_point_count(q)
+    while True:
+        count, interior = _pick_counts(q.area2(), sum(q.multiplicities()))
+        if interior < 1:  # only p itself: every cut keeps an interior point
+            raise NoInteriorPoint("polygon has no interior lattice point")
+        if interior == 1 and count <= 5:
+            return q
         ring = q.boundary_lattice_points()
-        step = _chord_cut(ring, count) or _triangle_cut(q, ring, count)
-        if step is None:
+        q = _chord_cut(ring, count) or _triangle_cut(q, ring, count)
+        if q is None:
             raise AssertionError("no admissible cut found; should be impossible for convex input")
-        q = step
-    return q
 
 
 def random_convex_polygon(rng, bound=8, min_points=3, max_points=8):

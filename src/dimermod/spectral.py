@@ -1,13 +1,14 @@
 """Kasteleyn characteristic polynomial and the discrete Abel map.
 
 Laurent polynomials in (z, w) are sparse maps from integer exponent pairs to
-exact rationals.  det K(z, w) is found by evaluation: after a monomial shift
-and a rational scale per row, K has integer polynomial entries, whose
-exponent spans bound the support by a box and whose coefficients bound every
-coefficient of the determinant.  If the box, times the bits of that bound,
-is small (`PACK_BITS`), one integer determinant (Bareiss) at a packed node
-z = 2^B, w = z^(Dz+1) holds every coefficient as a base-2^B digit
-(Kronecker substitution).  Otherwise integer determinants at small integer
+exact rationals.  det K(z, w) is found by evaluation (`_scaled_det`, on the
+rows the graph's `_Plan` builds): after a monomial shift and a rational scale
+per row, K has integer polynomial entries, whose exponent spans bound the
+support by a box and whose coefficients bound every coefficient of the
+determinant.  If the box, times the bits of that bound, is small
+(`PACK_BITS`), one integer determinant (Bareiss) at a packed node z = 2^B,
+w = z^(Dz+1) holds every coefficient as a base-2^B digit (Kronecker
+substitution).  Otherwise integer determinants at small integer
 nodes are interpolated exactly, row of w-exponents by row: until a call with
 positive weights has learned the support, its matching polygon, which holds
 the support for any weights, calls on a graph evaluate on the box, and after
@@ -24,7 +25,7 @@ from math import lcm
 from . import DimermodError, intlin, polygon as poly
 from .torusgraph import GraphError, UnbalancedColors, WHITE
 
-# The largest packed node of `laurent_det`, (Dz+1)(Dw+1)B bits, that it takes
+# The largest packed node of `_scaled_det`, (Dz+1)(Dw+1)B bits, that it takes
 # instead of the node loop.  Measured crossover (2 vCPU, Python 3.11): the
 # packed node is 1.2x faster at 8.3 k bits (honeycomb_8, weights 1) and 0.9x
 # at 12.3 k (square_lattice_5); CPython's long division is quadratic, so
@@ -91,18 +92,6 @@ class LaurentPoly2:
                     out.pop(k, None)
         p = LaurentPoly2()
         p.terms = out
-        return p
-
-    def scale(self, c):
-        c = Fraction(c)
-        p = LaurentPoly2()
-        if c:
-            p.terms = {k: v * c for k, v in self.terms.items()}
-        return p
-
-    def shift(self, di, dj):
-        p = LaurentPoly2()
-        p.terms = {(i + di, j + dj): c for (i, j), c in self.terms.items()}
         return p
 
     def to_json(self):
@@ -218,9 +207,11 @@ class _Plan:
     def scaled_rows(self, weights):
         """K's rows, each as (integer terms, m), and whether every weight is positive.
 
-        Row r times the lcm m of its weights' denominators has the terms
-        (column, i, j, c), c != 0: the edges of one entry and displacement
-        are summed, as in `kasteleyn_matrix`.
+        K(z, w) has a row per black vertex and a column per white vertex,
+        both sorted; entry (b, w) sums sign(e) * weight(e) * z^i w^j over
+        the edges e from b to w with displacement (i, j).  Row r times the
+        lcm m of its weights' denominators has the terms (column, i, j, c),
+        c != 0: the edges of one entry and displacement are summed.
         """
         rows, positive = [], True
         for edges in self.template:
@@ -234,26 +225,11 @@ class _Plan:
         return rows, positive
 
 
-def kasteleyn_matrix(g, weights):
-    """K(z, w): rows by black vertex, columns by white vertex, both sorted.
-
-    Entry (b, w) sums sign(e) * weight(e) * z^i w^j over the edges e from b
-    to w with displacement (i, j).
-    """
-    plan = g.derived(_Plan)
-    n = len(plan.blacks)
-    mat = [[LaurentPoly2() for _ in range(n)] for _ in range(n)]
-    for r, edges in enumerate(plan.template):
-        for col, i, j, s, e in edges:
-            mat[r][col] = mat[r][col] + LaurentPoly2.monomial(s * weights[e], i, j)
-    return mat
-
-
 def kasteleyn_polynomial(g, weights):
     """det K(z, w) for the signed, homology-graded Kasteleyn matrix.
 
     The integer rows are built from the graph's plan, kept on the graph.
-    A small determinant is read from one packed node (`laurent_det`).  On
+    A small determinant is read from one packed node (`_scaled_det`).  On
     the node path a call evaluates on the degree box until a call with every
     weight positive has learned the support; after that, on the support's
     rows alone.  That is exact by Kenyon-Okounkov-Sheffield (Dimers and amoebae,
@@ -275,25 +251,26 @@ def kasteleyn_polynomial(g, weights):
     return p
 
 
-def laurent_det(mat, rows=None):
-    """Exact determinant of a square matrix of LaurentPoly2 entries.
+def _scaled_det(scaled, region):
+    """Exact determinant of the square matrix whose row r is (integer terms, m_r), on the rows of `region`.
 
-    Row r is multiplied by z^-a_r w^-b_r (its least exponents) and by the lcm
-    s_r of its coefficient denominators, which leaves integer polynomials.
-    Every term of the determinant takes one entry from each row, so its
-    degrees are at most the sums Dz, Dw of the rows' exponent spans.  The
-    determinant's coefficients are at most prod_r sum_t |c_rt| in size, over
-    the rows' integer coefficients c_rt, so below 2^(B-1) with B that bound's
-    bit length plus one.  If (Dz+1)(Dw+1)B <= PACK_BITS, the determinant is
-    taken once, at z = 2^B and w = 2^(B(Dz+1)), where it is the sum of
-    c_ik 2^(B(i + (Dz+1)k)) over the coefficients c_ik of z^i w^k: its
-    balanced base-2^B digits, read from the lowest, are the coefficients,
-    and a value left over beyond the box raises ArithmeticError.  Else the
-    determinant is evaluated on a region given by rows: for w-exponent j,
-    the z-exponents lo_j..hi_j.  `rows` holds them in absolute exponents,
-    one (j, lo_j, hi_j) per w-exponent, and is clipped to the box; by default the region is
-    the box (0..Dz) x (0..Dw), all of whose rows are 0..Dz.  The caller
-    vouches that the support lies in the region.  Dividing by prod s_r and
+    Row r is the sum of c z^i w^j over its terms (column, i, j, c), divided
+    by m_r.  It is multiplied by z^-a_r w^-b_r (its least exponents), which
+    leaves integer polynomials.  Every term of the determinant takes one
+    entry from each row, so its degrees are at most the sums Dz, Dw of the
+    rows' exponent spans.  The determinant's coefficients are at most
+    prod_r sum_t |c_rt| in size, over the rows' integer coefficients c_rt,
+    so below 2^(B-1) with B that bound's bit length plus one.  If
+    (Dz+1)(Dw+1)B <= PACK_BITS, the determinant is taken once, at z = 2^B
+    and w = 2^(B(Dz+1)), where it is the sum of c_ik 2^(B(i + (Dz+1)k))
+    over the coefficients c_ik of z^i w^k: its balanced base-2^B digits,
+    read from the lowest, are the coefficients, and a value left over beyond
+    the box raises ArithmeticError.  Else the determinant is evaluated on a
+    region given by rows: for w-exponent j, the z-exponents lo_j..hi_j.
+    `region` holds them in absolute exponents, one (j, lo_j, hi_j) per
+    w-exponent, and is clipped to the box; if it is None the region is the
+    box (0..Dz) x (0..Dw), all of whose rows are 0..Dz.  The caller vouches
+    that the support lies in the region.  Dividing by prod m_r and
     multiplying by z^(sum a_r) w^(sum b_r) undoes the row scaling.
 
     With f_j(z) = z^lo_j g_j(z) the coefficient of w^j, g_j has degree
@@ -316,16 +293,6 @@ def laurent_det(mat, rows=None):
     rows make the determinant 0; rows in z alone that are dependent at a
     z-node make that node's values 0.
     """
-    scaled = []
-    for row in mat:
-        terms = [(col, i, j, c) for col, p in enumerate(row) for (i, j), c in p.terms.items()]
-        m = lcm(*(t[3].denominator for t in terms))
-        scaled.append(([(col, i, j, c.numerator * (m // c.denominator)) for col, i, j, c in terms], m))
-    return _scaled_det(scaled, rows)
-
-
-def _scaled_det(scaled, region):
-    """`laurent_det` on the rows of `region`, of the rows (integer terms (column, i, j, c), m), each a matrix row times m."""
     shift_z = shift_w = dz = dw = 0
     scale = 1
     stages = ([], [], [])  # (row index, integer terms): constant, in z alone, the rest

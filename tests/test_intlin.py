@@ -15,8 +15,14 @@ def _mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def _det(a):
+    """The determinant of a square integer matrix: the one-stage `Elimination`, its last pivot times its sign."""
+    e = intlin.Elimination(range(len(a))).extend(a)
+    return 0 if e is None else e.sign * e.pivot
+
+
 def _is_unimodular(a):
-    return abs(intlin.det(a)) == 1
+    return abs(_det(a)) == 1
 
 
 # With the always-swapping Euclid step, alternating column Hermite forms of
@@ -322,6 +328,4 @@ def test_det_matches_permutation_expansion():
         for _ in range(25):
             # sparse entries force zero pivots and row swaps; some draws are singular
             a = [[rng.choice((0, 0, 0, rng.randint(-50, 50))) for _ in range(n)] for _ in range(n)]
-            assert intlin.det(a) == _det_by_permutations(a)
-    with pytest.raises(intlin.DimensionMismatch):
-        intlin.det([[1, 2]])
+            assert _det(a) == _det_by_permutations(a)

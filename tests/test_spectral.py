@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +19,6 @@ def test_laurent_arithmetic():
     q = sp.LaurentPoly2({(0, 0): 1, (1, 0): -2})
     assert (p + q) == sp.LaurentPoly2({(0, 0): 2})
     assert (p * q) == sp.LaurentPoly2({(0, 0): 1, (2, 0): -4})
-    assert p.shift(-1, 2).terms == {(-1, 2): Fraction(1), (0, 2): Fraction(2)}
 
 
 def test_kasteleyn_signs_face_rule():
@@ -83,15 +81,30 @@ def test_determinant_matches_matching_oracle():
             assert sp.kasteleyn_polynomial(g, w) == sp.matching_polynomial(g, w)
 
 
+def _rows(g, weights):
+    """K's integer rows, (terms, m) each, as the graph's plan gives them to `_scaled_det`."""
+    return g.derived(sp._Plan).scaled_rows(weights)[0]
+
+
+def _laurent_matrix(rows):
+    """The square matrix of Laurent polynomials that integer rows (terms, m) stand for."""
+    mat = [[sp.LaurentPoly2() for _ in rows] for _ in rows]
+    for r, (terms, m) in enumerate(rows):
+        for col, i, j, c in terms:
+            mat[r][col] = mat[r][col] + sp.LaurentPoly2.monomial(Fraction(c, m), i, j)
+    return mat
+
+
 def _det_laplace(mat):
     """Reference determinant over the Laurent ring by subset-memoized expansion.
 
     Time and memory grow as 2^n; keep it to n <= 18.
     """
     n = len(mat)
+    one, minus_one = sp.LaurentPoly2.monomial(1, 0, 0), sp.LaurentPoly2.monomial(-1, 0, 0)
     if n == 0:
-        return sp.LaurentPoly2.monomial(1, 0, 0)
-    cache = {(): sp.LaurentPoly2.monomial(1, 0, 0)}
+        return one
+    cache = {(): one}
 
     def minor(cols):
         if cols in cache:
@@ -104,7 +117,7 @@ def _det_laplace(mat):
                 continue
             rest = cols[:pos] + cols[pos + 1 :]
             term = entry * minor(rest)
-            acc = acc + (term if pos % 2 == 0 else term.scale(-1))
+            acc = acc + (term if pos % 2 == 0 else term * minus_one)
         cache[cols] = acc
         return acc
 
@@ -133,37 +146,32 @@ def _signed_weights(g, rng):
         "square_lattice_3",
     ],
 )
-def test_interpolated_determinant_matches_laplace(name):
+def test_interpolated_determinant_matches_laplace(name, monkeypatch):
+    """kasteleyn_polynomial on both paths, on the box (signed weights) and on the region the positive draw teaches."""
     rng = random.Random(name)
     g = tg.catalog(name).graph
-    for weights in (tg.random_weights(g, rng), _signed_weights(g, rng)):
-        mat = sp.kasteleyn_matrix(g, weights)
-        assert sp.laurent_det(mat) == _det_laplace(mat)
+    for weights in (_signed_weights(g, rng), tg.random_weights(g, rng)):
+        want = _det_laplace(_laurent_matrix(_rows(g, weights)))
+        assert _both_paths(monkeypatch, sp.kasteleyn_polynomial, g, weights) == want
+    assert g.derived(sp._Plan).region == _support_rows(want)
 
 
-def test_laurent_det_small_matrices():
+def test_scaled_det_small_matrices():
     rng = random.Random(5)
     for n in range(5):
         for _ in range(20):
-            mat = [
-                [
-                    sp.LaurentPoly2(
-                        {
-                            (rng.randint(-2, 2), rng.randint(-2, 2)): Fraction(
-                                rng.randint(-4, 4), rng.randint(1, 4)
-                            )
-                            for _ in range(rng.randint(0, 3))
-                        }
-                    )
-                    for _ in range(n)
-                ]
-                for _ in range(n)
-            ]
-            assert sp.laurent_det(mat) == _det_laplace(mat)
+            rows = []
+            for _ in range(n):
+                terms = {}
+                for col in range(n):
+                    for _ in range(rng.randint(0, 3)):
+                        terms[col, rng.randint(-2, 2), rng.randint(-2, 2)] = rng.randint(-4, 4)
+                rows.append(([(col, i, j, c) for (col, i, j), c in terms.items() if c], rng.randint(1, 12)))
+            assert sp._scaled_det(rows, None) == _det_laplace(_laurent_matrix(rows))
     # a zero row, and a rank-one matrix whose entries do not vanish
-    x = sp.LaurentPoly2({(1, -1): 2, (0, 3): Fraction(-1, 3)})
-    assert sp.laurent_det([[x, x], [sp.LaurentPoly2(), sp.LaurentPoly2()]]).is_zero()
-    assert sp.laurent_det([[x, x], [x, x]]).is_zero()
+    x = ([(col, i, j, c) for col in (0, 1) for i, j, c in ((1, -1, 6), (0, 3, -1))], 3)
+    assert sp._scaled_det([x, ([], 1)], None).is_zero()
+    assert sp._scaled_det([x, x], None).is_zero()
 
 
 def _bareiss_det(a):
@@ -188,29 +196,27 @@ def _bareiss_det(a):
     return sign * m[n - 1][n - 1]
 
 
-def _det_box(mat):
-    """Reference determinant: one full Bareiss determinant per node of the degree box.
+def _det_box(scaled):
+    """Reference determinant of integer rows (terms, m): one full Bareiss determinant per node of the degree box.
 
-    The same row shift and scaling, box and interpolation (nodes 1, 2, ...)
-    as `laurent_det` with no region, and no staging: every node's integer
+    The same row shift, box and interpolation (nodes 1, 2, ...) as
+    `_scaled_det` with no region, and no staging: every node's integer
     matrix is built and eliminated whole.
     """
     shift_z = shift_w = dz = dw = 0
     scale = 1
     rows = []
-    for row in mat:
-        terms = [(col, i, j, c) for col, p in enumerate(row) for (i, j), c in p.terms.items()]
+    for terms, m in scaled:
         if not terms:
             return sp.LaurentPoly2()
         lo_i = min(t[1] for t in terms)
         lo_j = min(t[2] for t in terms)
-        m = lcm(*(t[3].denominator for t in terms))
         shift_z += lo_i
         shift_w += lo_j
         dz += max(t[1] for t in terms) - lo_i
         dw += max(t[2] for t in terms) - lo_j
         scale *= m
-        rows.append([(col, i - lo_i, j - lo_j, int(c * m)) for col, i, j, c in terms])
+        rows.append([(col, i - lo_i, j - lo_j, c) for col, i, j, c in terms])
     n = len(rows)
     by_z = []
     for a in range(1, dz + 2):
@@ -253,18 +259,15 @@ _ROW_KINDS = {
 
 
 def _random_row(rng, n, kind):
+    """An integer row (terms, m) of n columns: about 60 % of its entries have 1..3 terms."""
     zs, ws = _ROW_KINDS[kind]
     a, b = rng.randint(-2, 2), rng.randint(-2, 2)
-    row = []
-    for _ in range(n):
-        terms = {}
+    terms = {}
+    for col in range(n):
         if rng.random() < 0.6:
             for _ in range(rng.randint(1, 3)):
-                terms[(a + rng.choice(zs), b + rng.choice(ws))] = Fraction(
-                    rng.randint(-4, 4), rng.randint(1, 4)
-                )
-        row.append(sp.LaurentPoly2(terms))
-    return row
+                terms[col, a + rng.choice(zs), b + rng.choice(ws)] = rng.randint(-12, 12)
+    return [(col, i, j, c) for (col, i, j), c in terms.items() if c], rng.randint(1, 12)
 
 
 def test_staged_det_matches_box_on_mixed_rows(monkeypatch):
@@ -272,58 +275,59 @@ def test_staged_det_matches_box_on_mixed_rows(monkeypatch):
     kinds = sorted(_ROW_KINDS)
     for n in range(7):
         for _ in range(200):
-            mat = [_random_row(rng, n, rng.choice(kinds)) for _ in range(n)]
-            assert _both_paths(monkeypatch, sp.laurent_det, mat) == _det_box(mat)
+            rows = [_random_row(rng, n, rng.choice(kinds)) for _ in range(n)]
+            assert _both_paths(monkeypatch, sp._scaled_det, rows, None) == _det_box(rows)
 
 
 def test_staged_det_dependent_constant_rows(monkeypatch):
     rng = random.Random(32)
     for n in range(2, 6):
         for _ in range(10):
-            mat = [_random_row(rng, n, "constant")] + [
+            rows = [_random_row(rng, n, "constant")] + [
                 _random_row(rng, n, rng.choice(("z", "w", "mixed"))) for _ in range(n - 2)
             ]
-            # a second constant row, a multiple of the first shifted by a monomial
-            mat.insert(rng.randint(1, n - 1), [p.scale(Fraction(-3, 2)).shift(1, -1) for p in mat[0]])
-            assert _det_box(mat).is_zero()
-            assert _both_paths(monkeypatch, sp.laurent_det, mat).is_zero()
+            # a second constant row, the first times -3/2 z w^-1
+            terms, m = rows[0]
+            rows.insert(rng.randint(1, n - 1), ([(col, i + 1, j - 1, -3 * c) for col, i, j, c in terms], 2 * m))
+            assert _det_box(rows).is_zero()
+            assert _both_paths(monkeypatch, sp._scaled_det, rows, None).is_zero()
 
 
 def test_staged_det_z_row_singular_at_one_node(monkeypatch):
     """(z - 1) e_c vanishes at the z-node 1 alone, and so does the determinant."""
     rng = random.Random(33)
-    z_minus_1 = sp.LaurentPoly2({(1, 0): 1, (0, 0): -1})
     nonzero = 0
     for n in range(1, 6):
         for _ in range(10):
             c = rng.randrange(n)
-            mat = [_random_row(rng, n, rng.choice(sorted(_ROW_KINDS))) for _ in range(n - 1)]
-            row = [z_minus_1 if col == c else sp.LaurentPoly2() for col in range(n)]
-            mat.insert(rng.randint(0, n - 1), row)
-            got = _both_paths(monkeypatch, sp.laurent_det, mat)
-            assert got == _det_box(mat)
+            rows = [_random_row(rng, n, rng.choice(sorted(_ROW_KINDS))) for _ in range(n - 1)]
+            rows.insert(rng.randint(0, n - 1), ([(c, 1, 0, 1), (c, 0, 0, -1)], 1))
+            got = _both_paths(monkeypatch, sp._scaled_det, rows, None)
+            assert got == _det_box(rows)
             # z = 1 is a root: at each power of w the coefficients sum to 0
             for j in {j for _, j in got.terms}:
                 assert sum(x for (_, jj), x in got.terms.items() if jj == j) == 0
             nonzero += not got.is_zero()
     assert nonzero >= 10
-    # two rows in z alone, dependent exactly at z = 2, under a mixed row
-    z = sp.LaurentPoly2({(1, 0): 1})
-    one = sp.LaurentPoly2({(0, 0): 1})
-    zero = sp.LaurentPoly2()
-    mat = [[z, one, zero], [one.scale(2), z + one.scale(-1), zero], [one, z, z.shift(0, 1)]]
+    # two rows in z alone, dependent exactly at z = 2, under a mixed row:
+    # [[z, 1, 0], [2, z - 1, 0], [1, z, z w]]
+    rows = [
+        ([(0, 1, 0, 1), (1, 0, 0, 1)], 1),
+        ([(0, 0, 0, 2), (1, 1, 0, 1), (1, 0, 0, -1)], 1),
+        ([(0, 0, 0, 1), (1, 1, 0, 1), (2, 1, 1, 1)], 1),
+    ]
     want = sp.LaurentPoly2({(3, 1): 1, (2, 1): -1, (1, 1): -2})  # z w (z - 2)(z + 1)
-    assert _both_paths(monkeypatch, sp.laurent_det, mat) == _det_box(mat) == want
+    assert _both_paths(monkeypatch, sp._scaled_det, rows, None) == _det_box(rows) == want
 
 
 def test_staged_det_zero_rows():
     rng = random.Random(34)
     for n in range(1, 6):
         for kind in sorted(_ROW_KINDS):
-            mat = [_random_row(rng, n, kind) for _ in range(n)]
-            mat[rng.randrange(n)] = [sp.LaurentPoly2() for _ in range(n)]
-            assert sp.laurent_det(mat).is_zero()
-    assert sp.laurent_det([]) == _det_box([]) == sp.LaurentPoly2({(0, 0): 1})
+            rows = [_random_row(rng, n, kind) for _ in range(n)]
+            rows[rng.randrange(n)] = ([], rng.randint(1, 12))
+            assert sp._scaled_det(rows, None).is_zero()
+    assert sp._scaled_det([], None) == _det_box([]) == sp.LaurentPoly2({(0, 0): 1})
 
 
 @pytest.mark.parametrize(
@@ -335,8 +339,8 @@ def test_staged_det_zero_rows():
 def test_staged_det_matches_box_on_catalog(name, monkeypatch):
     rng = random.Random("box " + name)
     g = tg.catalog(name).graph
-    mat = sp.kasteleyn_matrix(g, _signed_weights(g, rng))
-    assert _both_paths(monkeypatch, sp.laurent_det, mat) == _det_box(mat)
+    weights = _signed_weights(g, rng)
+    assert _both_paths(monkeypatch, sp.kasteleyn_polynomial, g, weights) == _det_box(_rows(g, weights))
 
 
 def test_staged_det_matches_box_on_walk_graphs(monkeypatch):
@@ -344,8 +348,7 @@ def test_staged_det_matches_box_on_walk_graphs(monkeypatch):
     rng = random.Random(35)
     for g, w in walk_graphs():
         for weights in (w, _signed_weights(g, rng)):
-            mat = sp.kasteleyn_matrix(g, weights)
-            assert _both_paths(monkeypatch, sp.laurent_det, mat) == _det_box(mat)
+            assert _both_paths(monkeypatch, sp.kasteleyn_polynomial, g, weights) == _det_box(_rows(g, weights))
 
 
 def _reduce_every_step(e, row, counts):
@@ -410,10 +413,10 @@ def test_reduce_skips_rescale_steps_on_the_matrix_corpus(monkeypatch):
     ]
     for name in ["honeycomb_%d" % k for k in range(2, 6)] + ["square_lattice_2", "square_lattice_3"]:
         g = tg.catalog(name).graph
-        mats.append(sp.kasteleyn_matrix(g, _signed_weights(g, rng)))
-    mats += [sp.kasteleyn_matrix(g, w) for g, w in walk_graphs()]
-    for mat in mats:
-        assert sp.laurent_det(mat) == _det_box(mat)
+        mats.append(_rows(g, _signed_weights(g, rng)))
+    mats += [_rows(g, w) for g, w in walk_graphs()]
+    for rows in mats:
+        assert sp._scaled_det(rows, None) == _det_box(rows)
     steps, nonzero, reads = counts
     assert reads == nonzero < steps
 
@@ -428,7 +431,7 @@ def test_reduce_step_count_on_honeycomb_8(monkeypatch):
     monkeypatch.setattr(sp, "PACK_BITS", NODE)
     counts = _checked_reduce(monkeypatch)
     g = tg.catalog("honeycomb_8").graph
-    sp.laurent_det(sp.kasteleyn_matrix(g, tg.all_ones_weights(g)))
+    sp.kasteleyn_polynomial(g, tg.all_ones_weights(g))  # the first call on g, so on its box
     assert counts == [5152, 5152 - 2046, 5152 - 2046]
 
 
@@ -493,6 +496,34 @@ def _sparse_weights(g, rng):
     return w
 
 
+def test_scaled_rows_are_the_kasteleyn_matrix():
+    """The plan's rows over m are K: entry (b, w) sums sign * weight * z^i w^j over the edges from b to w, parallel ones too."""
+    rng = random.Random(43)
+    graphs = [tg.catalog(name).graph for name in ("honeycomb", "honeycomb_3", "square_lattice", "square_lattice_2")]
+    graphs += [_doubled_edge(g, e) for g in graphs for e in sorted(g.edges)[:2]]
+    graphs += [g for g, _ in walk_graphs()]
+    for g in graphs:
+        plan = g.derived(sp._Plan)
+        bi = {v: r for r, v in enumerate(plan.blacks)}
+        wi = {v: c for c, v in enumerate(plan.whites)}
+        for weights in (tg.random_weights(g, rng), _sparse_weights(g, rng)):
+            want = [[sp.LaurentPoly2() for _ in plan.whites] for _ in plan.blacks]
+            for e, (b, w, d) in g.edges.items():
+                want[bi[b]][wi[w]] += sp.LaurentPoly2.monomial(plan.signs[e] * weights[e], *d)
+            assert _laurent_matrix(_rows(g, weights)) == want
+
+
+def test_a_region_without_a_row_of_the_support_raises(monkeypatch):
+    """On the node path a coefficient between the region's rows, outside them, is an ArithmeticError, not a wrong polynomial."""
+    monkeypatch.setattr(sp, "PACK_BITS", NODE)
+    g = tg.catalog("square_lattice_2").graph
+    rows = _rows(g, tg.all_ones_weights(g))
+    region = _support_rows(_det_box(rows))
+    assert len(region) >= 3
+    with pytest.raises(ArithmeticError, match="support outside its evaluation region"):
+        sp._scaled_det(rows, region[:1] + region[2:])
+
+
 def _region_mismatches(pack_bits):
     """Per graph, learn the region from positive weights, then compare signed, sparse and positive draws with the box oracle.
 
@@ -520,7 +551,7 @@ def _region_cases():
         draws.append(tg.random_weights(g, rng))
         for n, weights in enumerate(draws):
             cases += 1
-            if sp.kasteleyn_polynomial(g, weights) != _det_box(sp.kasteleyn_matrix(g, weights)):
+            if sp.kasteleyn_polynomial(g, weights) != _det_box(_rows(g, weights)):
                 bad.append("%s draw %d" % (label, n))
             if g.derived(sp._Plan).region is None:
                 bad.append("%s learned nothing" % label)
@@ -562,11 +593,11 @@ def test_region_det_on_the_support_of_random_matrices(monkeypatch):
     kinds = sorted(_ROW_KINDS)
     for n in range(1, 6):
         for _ in range(60):
-            mat = [_random_row(rng, n, rng.choice(kinds)) for _ in range(n)]
-            want = _det_box(mat)
-            rows = _support_rows(want)
-            wider = tuple((j, lo - rng.randint(0, 2), hi + rng.randint(0, 2)) for j, lo, hi in rows)
-            assert _both_paths(monkeypatch, sp.laurent_det, mat, rows) == _both_paths(monkeypatch, sp.laurent_det, mat, wider) == want
+            rows = [_random_row(rng, n, rng.choice(kinds)) for _ in range(n)]
+            want = _det_box(rows)
+            region = _support_rows(want)
+            wider = tuple((j, lo - rng.randint(0, 2), hi + rng.randint(0, 2)) for j, lo, hi in region)
+            assert _both_paths(monkeypatch, sp._scaled_det, rows, region) == _both_paths(monkeypatch, sp._scaled_det, rows, wider) == want
 
 
 def test_only_positive_weights_teach_the_region():
@@ -574,10 +605,10 @@ def test_only_positive_weights_teach_the_region():
     rng = random.Random(39)
     negative = {e: -x for e, x in tg.random_weights(g, rng).items()}
     for weights in (_signed_weights(g, rng), negative):
-        assert sp.kasteleyn_polynomial(g, weights) == _det_box(sp.kasteleyn_matrix(g, weights))
+        assert sp.kasteleyn_polynomial(g, weights) == _det_box(_rows(g, weights))
         assert g.derived(sp._Plan).region is None
     positive = tg.random_weights(g, rng)
-    want = _det_box(sp.kasteleyn_matrix(g, positive))
+    want = _det_box(_rows(g, positive))
     assert sp.kasteleyn_polynomial(g, positive) == want
     assert g.derived(sp._Plan).region == _support_rows(want)
     assert sum(hi - lo + 1 for _, lo, hi in g.derived(sp._Plan).region) == len(want.terms) == 13
@@ -602,7 +633,7 @@ def test_no_perfect_matching_learns_the_empty_region(monkeypatch):
     assert g.derived(sp._Plan).region == ()
     for weights in (_signed_weights(g, rng), tg.random_weights(g, rng), tg.all_ones_weights(g)):
         assert _both_paths(monkeypatch, sp.kasteleyn_polynomial, g, weights).is_zero()
-        assert _det_box(sp.kasteleyn_matrix(g, weights)).is_zero()
+        assert _det_box(_rows(g, weights)).is_zero()
 
 
 # -- the packed node: Kronecker substitution against the node loop -----------
@@ -648,7 +679,7 @@ def test_packed_node_equals_the_node_path_and_the_oracles(name, monkeypatch):
     g = tg.catalog(name).graph
     for weights in (_signed_weights(g, rng), tg.random_weights(g, rng), tg.all_ones_weights(g)):
         got = _both_paths(monkeypatch, sp.kasteleyn_polynomial, g, weights)
-        assert got == _det_box(sp.kasteleyn_matrix(g, weights)) and not got.is_zero()
+        assert got == _det_box(_rows(g, weights)) and not got.is_zero()
         if len(g.derived(sp._Plan).blacks) <= 16:
             assert got == sp.matching_polynomial(g, weights)
     assert g.derived(sp._Plan).region is not None
@@ -748,7 +779,7 @@ def test_normalized_kills_scalar_and_monomial():
     g = tg.catalog("square_lattice").graph
     p = sp.kasteleyn_polynomial(g, tg.all_ones_weights(g))
     n1 = sp.normalized_poly(p)
-    assert n1 == sp.normalized_poly(p.scale(Fraction(-7, 3)).shift(2, -5))
+    assert n1 == sp.normalized_poly(p * sp.LaurentPoly2.monomial(Fraction(-7, 3), 2, -5))
     with pytest.raises(sp.ZeroPolynomial):
         sp.normalized_poly(sp.LaurentPoly2())
 
@@ -782,7 +813,7 @@ def test_normalized_invariant_under_displacement_representatives():
 def _normalized_poly_by_hull(p):
     """normalized_poly as it was: corner from the convex hull, each twisted form built and made monic."""
     corner = min(poly.convex_hull(list(p.terms)))
-    base = p.shift(-corner[0], -corner[1])
+    base = p * sp.LaurentPoly2.monomial(1, -corner[0], -corner[1])
     best = None
     for sx in (1, -1):
         for sy in (1, -1):
@@ -792,7 +823,7 @@ def _normalized_poly_by_hull(p):
                     for (i, j), c in base.terms.items()
                 }
             )
-            monic = twisted.scale(Fraction(1) / twisted.terms[(0, 0)])
+            monic = twisted * sp.LaurentPoly2.monomial(1 / twisted.terms[(0, 0)], 0, 0)
             key = tuple(sorted(monic.terms.items()))
             if best is None or key < best[0]:
                 best = (key, monic)

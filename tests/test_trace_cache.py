@@ -159,6 +159,41 @@ def test_hit_and_miss_match_the_uncached_run(name):
             assert want == (moves.MoveNotApplicable, "face %s has Delta = ac + bd = 0" % zero_at)
 
 
+@pytest.mark.parametrize("name", ["domino_shuffle", "translation_x", "translation_y"] + ["shuffle_k%d" % k for k in (1, 2, 3, 4)])
+def test_a_script_keeps_the_spectral_curve_and_every_strand_monodromy(name):
+    """The laws of G_N acting on X_N, on a miss and on a hit, for a positive and a signed draw.
+
+    With w' the result's weights on the base edges: P(base, w') equals
+    P(base, w) up to normalization, and the monodromy under w' of the
+    strand a base strand z ends on, fates[z].target, is z's under w.  A
+    draw that meets Delta = 0 is drawn again from the same generator.
+    """
+    script = SCRIPTS[name]()
+    base = tg.resolve_graph(script.graph)
+    rng = random.Random("conservation " + name)
+    draws = (
+        lambda: tg.random_weights(base, rng),
+        lambda: {e: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for e in sorted(base.edges)},
+    )
+    for draw in draws:
+        while True:
+            weights = draw()
+            traces(base).clear()
+            try:
+                miss = moves.run_sequence(script, weights)
+            except moves.MoveNotApplicable:
+                continue
+            break
+        assert len(traces(base)) == 1
+        hit = moves.run_sequence(script, weights)
+        curve = sp.normalized_poly(sp.kasteleyn_polynomial(base, weights))
+        for res in (miss, hit):
+            assert sp.normalized_poly(sp.kasteleyn_polynomial(base, res.weights)) == curve
+            for z in base.zigzags():
+                target = base.zigzag_by_id(res.fates[z.id].target)
+                assert tg.zigzag_monodromy(base, res.weights, target) == tg.zigzag_monodromy(base, weights, z)
+
+
 def _push_fractions(recipe, w):
     """Oracle: a recipe pushed through Fraction weights, as the moves did before weights were integer pairs."""
     if recipe[0] == "spider":
