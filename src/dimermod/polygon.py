@@ -338,7 +338,9 @@ def _chord_cut(ring, count):
     2A = (sum of cross(r_t, r_t+1) from t = i to j - 1) + cross(r_j, r_i)
     and B = ((j - i) mod n) + gcd(r_i - r_j), so Pick's theorem counts it in
     O(1).  A chord along one side cuts off a piece with 2A = 0 and is
-    skipped.  Only the pieces of the chord taken become polygons.
+    skipped.  Only the piece of the chord taken becomes a polygon, the one
+    with fewer points; both are built only on a tie, which their vertex
+    tuples break.
     """
     n = len(ring)
     at = {r: t for t, r in enumerate(ring)}
@@ -360,10 +362,11 @@ def _chord_cut(ring, count):
             for area2, lo, hi in ((area_ij, i, j), (area_ji, j, i)):
                 points, interior = _pick_counts(area2, (hi - lo) % n + g)
                 if points < count and interior >= 1:
-                    arcs.append(ring[lo : hi + 1] if lo <= hi else ring[lo:] + ring[: hi + 1])
+                    arcs.append((points, ring[lo : hi + 1] if lo <= hi else ring[lo:] + ring[: hi + 1]))
             if arcs:
-                pieces = [_polygon_from_boundary_chain(arc) for arc in arcs]
-                return min(pieces, key=lambda c: (lattice_point_count(c), c.vertices))
+                fewest = min(points for points, _ in arcs)
+                pieces = [_polygon_from_boundary_chain(arc) for points, arc in arcs if points == fewest]
+                return min(pieces, key=lambda c: c.vertices)
     return None
 
 

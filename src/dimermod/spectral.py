@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import DimermodError, intlin, polygon as poly
-from .torusgraph import GraphError, UnbalancedColors, WHITE
+from .torusgraph import BLACK, GraphError, UnbalancedColors, WHITE
 
 # The largest packed node of `_scaled_det`, (Dz+1)(Dw+1)B bits, that it takes
 # instead of the node loop.  Measured crossover (2 vCPU, Python 3.11): the
@@ -192,8 +192,8 @@ class _Plan:
     __slots__ = ("signs", "blacks", "whites", "template", "region")
 
     def __init__(self, g):
-        self.blacks = sorted(v for v, c in g.vertices.items() if c == "b")
-        self.whites = sorted(v for v, c in g.vertices.items() if c == "w")
+        self.blacks = sorted(v for v, c in g.vertices.items() if c == BLACK)
+        self.whites = sorted(v for v, c in g.vertices.items() if c == WHITE)
         if len(self.blacks) != len(self.whites):
             raise UnbalancedColors("need equal numbers of black and white vertices")
         self.signs = kasteleyn_signs(g)

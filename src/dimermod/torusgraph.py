@@ -760,85 +760,69 @@ class CatalogEntry:
     genus: int
 
 
-def _square_lattice_graph(k):
-    """Grid Z^2 mod 2k with checkerboard coloring; deck units are 2k steps."""
-    n = 2 * k
-    vertices = {}
-    edges = {}
-    rotations = {}
-
-    def vid(i, j):
-        color = BLACK if (i + j) % 2 == 0 else WHITE
-        return "%s%d,%d" % (color, i, j)
-
-    for i in range(n):
-        for j in range(n):
-            vertices[vid(i, j)] = BLACK if (i + j) % 2 == 0 else WHITE
-    for i in range(n):
-        for j in range(n):
-            a, b = vid(i, j), vid((i + 1) % n, j)
-            deck = (1, 0) if i + 1 == n else (0, 0)
-            black, white = (a, b) if vertices[a] == BLACK else (b, a)
-            # disp is black lift minus white lift, in deck units
-            d = deck if black == b else (-deck[0], -deck[1])
-            edges["h%d,%d" % (i, j)] = (black, white, d)
-            a, b = vid(i, j), vid(i, (j + 1) % n)
-            deck = (0, 1) if j + 1 == n else (0, 0)
-            black, white = (a, b) if vertices[a] == BLACK else (b, a)
-            d = deck if black == b else (-deck[0], -deck[1])
-            edges["v%d,%d" % (i, j)] = (black, white, d)
-    for i in range(n):
-        for j in range(n):
-            rotations[vid(i, j)] = (
-                "h%d,%d" % (i, j),
-                "v%d,%d" % (i, j),
-                "h%d,%d" % ((i - 1) % n, j),
-                "v%d,%d" % (i, (j - 1) % n),
-            )
-    return TorusGraph(vertices, edges, rotations)
-
-
 def _honeycomb_graph():
     vertices = {"b0": BLACK, "w0": WHITE}
-    edges = {
-        "e0": ("b0", "w0", (0, 0)),
-        "e1": ("b0", "w0", (1, 0)),
-        "e2": ("b0", "w0", (0, 1)),
-    }
+    edges = {"e0": ("b0", "w0", (0, 0)), "e1": ("b0", "w0", (1, 0)), "e2": ("b0", "w0", (0, 1))}
     rotations = {"b0": ("e0", "e1", "e2"), "w0": ("e0", "e1", "e2")}
     return TorusGraph(vertices, edges, rotations)
 
 
-def _honeycomb_block_graph(k):
-    """Hexagonal lattice with a k x k block of cells per fundamental domain."""
-    vertices = {}
-    edges = {}
-    rotations = {}
-    for i in range(k):
-        for j in range(k):
-            vertices["b%d,%d" % (i, j)] = BLACK
-            vertices["w%d,%d" % (i, j)] = WHITE
-    for i in range(k):
-        for j in range(k):
-            b = "b%d,%d" % (i, j)
-            edges["e0_%d,%d" % (i, j)] = (b, "w%d,%d" % (i, j), (0, 0))
-            deck = (1, 0) if i + 1 == k else (0, 0)
-            edges["e1_%d,%d" % (i, j)] = (b, "w%d,%d" % ((i + 1) % k, j), deck)
-            deck = (0, 1) if j + 1 == k else (0, 0)
-            edges["e2_%d,%d" % (i, j)] = (b, "w%d,%d" % (i, (j + 1) % k), deck)
-    for i in range(k):
-        for j in range(k):
-            rotations["b%d,%d" % (i, j)] = (
-                "e0_%d,%d" % (i, j),
-                "e1_%d,%d" % (i, j),
-                "e2_%d,%d" % (i, j),
-            )
-            rotations["w%d,%d" % (i, j)] = (
-                "e0_%d,%d" % (i, j),
-                "e1_%d,%d" % ((i - 1) % k, j),
-                "e2_%d,%d" % (i, (j - 1) % k),
-            )
+def _square_lattice_graph():
+    """Z^2 mod 2, checkerboard coloured: X(i, j) meets X(i+1, j) by h(i, j) and X(i, j+1) by v(i, j)."""
+    vertices = {"b0,0": BLACK, "w0,1": WHITE, "w1,0": WHITE, "b1,1": BLACK}
+    edges = {
+        "h0,0": ("b0,0", "w1,0", (0, 0)), "v0,0": ("b0,0", "w0,1", (0, 0)),
+        "h0,1": ("b1,1", "w0,1", (0, 0)), "v0,1": ("b0,0", "w0,1", (0, 1)),
+        "h1,0": ("b0,0", "w1,0", (1, 0)), "v1,0": ("b1,1", "w1,0", (0, 0)),
+        "h1,1": ("b1,1", "w0,1", (-1, 0)), "v1,1": ("b1,1", "w1,0", (0, -1)),
+    }
+    rotations = {
+        "b0,0": ("h0,0", "v0,0", "h1,0", "v0,1"), "w0,1": ("h0,1", "v0,1", "h1,1", "v0,0"),
+        "w1,0": ("h1,0", "v1,0", "h0,0", "v1,1"), "b1,1": ("h1,1", "v1,1", "h0,1", "v1,0"),
+    }
     return TorusGraph(vertices, edges, rotations)
+
+
+def cover(g, lattice, name):
+    """The cover of g by the sublattice L of Z^2 with Hermite basis (a, 0), (b, c), 0 <= b < a.
+
+    Each vertex v of g has one copy per r in the box [0, a) x [0, c).  Each
+    edge copy keeps its black end's r; its white end lies at r - disp
+    reduced mod L (y by c with quotient q_y, then x - q_y b by a with
+    quotient q_x), and its displacement is (-q_x, -q_y), in the basis of L.
+    Rotations are copied edge by edge.  name(x, r, s) is the id of the copy
+    of the vertex or edge x of g whose black end is in copy r and whose
+    white end is in copy s; a vertex copy has r == s.
+    """
+    a, b, c = lattice
+    box = [(x, y) for x in range(a) for y in range(c)]
+    copies = {(v, r): name(v, r, r) for r in box for v in g.vertices}
+    edges, at = {}, {}
+    for r in box:
+        for e, (u, v, (dx, dy)) in g.edges.items():
+            qy, y = divmod(r[1] - dy, c)
+            qx, x = divmod(r[0] - dx - qy * b, a)
+            eid = at[u, r, e] = at[v, (x, y), e] = name(e, r, (x, y))
+            edges[eid] = (copies[u, r], copies[v, (x, y)], (-qx, -qy))
+    vertices = {vid: g.vertices[v] for (v, _), vid in copies.items()}
+    rotations = {vid: tuple(at[v, r, e] for e in g.rotations[v]) for (v, r), vid in copies.items()}
+    return TorusGraph(vertices, edges, rotations)
+
+
+def _honeycomb_copy(k, x, r, s):
+    """honeycomb_k's id of copy r of b0, w0 or e<n>: bi,j, wi,j or e<n>_i,j, (i, j) = (k-1, k-1) - r."""
+    i, j = k - 1 - r[0], k - 1 - r[1]
+    return "%s_%d,%d" % (x, i, j) if x.startswith("e") else "%s%d,%d" % (x[0], i, j)
+
+
+def _square_lattice_copy(x, r, s):
+    """square_lattice_k's id of copy r of X(i, j): X(i+2r_x, j+2r_y).
+
+    An edge with i + j odd is named after its white end, so it takes that end's copy s.
+    """
+    i, j = int(x[1]), int(x[3])
+    r = s if (i + j) % 2 else r
+    return "%s%d,%d" % (x[0], i + 2 * r[0], j + 2 * r[1])
 
 
 def _refinement(name, prefix):
@@ -862,18 +846,26 @@ def _refinement(name, prefix):
 
 
 def catalog(name):
-    """Bundled minimal graphs; synthesis from arbitrary polygons is out of scope."""
+    """Bundled minimal graphs: `honeycomb`, `square_lattice` and their covers by kZ^2.
+
+    `honeycomb_k` and `square_lattice_k` are `cover(base, (k, 0, k), name)`,
+    whose edge copies keep their black end's copy r.  `honeycomb_k` names
+    copy r at (k-1, k-1) - r (`_honeycomb_copy`).  `square_lattice_k` names
+    copy r of X(i, j) X(i + 2r_x, j + 2r_y), and an edge with i + j odd
+    after its white end, whose copy it takes (`_square_lattice_copy`).
+    Synthesis from arbitrary polygons is out of scope.
+    """
     if name == "honeycomb":
         g = _honeycomb_graph()
         p = poly.validate_polygon([(0, 0), (1, 0), (0, 1)])
         return CatalogEntry(name=name, graph=g, newton=p, genus=0)
     if name.startswith("honeycomb"):
         k = _refinement(name, "honeycomb")
-        g = _honeycomb_block_graph(k)
+        g = cover(_honeycomb_graph(), (k, 0, k), functools.partial(_honeycomb_copy, k))
         p = poly.validate_polygon([(0, 0), (k, 0), (0, k)])
         return CatalogEntry(name=name, graph=g, newton=p, genus=(k - 1) * (k - 2) // 2)
     k = _refinement(name, "square_lattice")
-    g = _square_lattice_graph(k)
+    g = cover(_square_lattice_graph(), (k, 0, k), _square_lattice_copy)
     p = poly.validate_polygon([(k, 0), (0, k), (-k, 0), (0, -k)])
     return CatalogEntry(name=name, graph=g, newton=p, genus=2 * k * k - 2 * k + 1)
 

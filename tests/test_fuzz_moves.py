@@ -10,7 +10,7 @@ import pytest
 from dimermod import intlin, moves, polygon as poly, torusgraph as tg
 from dimermod.suites import bundled_script, spider_cross_checks
 from smith_oracle import smith_normal_form as smith_oracle
-from test_torusgraph import check_minimality_against_window
+from test_torusgraph import at_copy, check_minimality_against_window
 
 
 def _class_multiset(g):
@@ -91,20 +91,35 @@ def test_spanning_tree_of_catalog_graphs(name):
     _check_spanning_tree(tg.catalog(name).graph)
 
 
-# (seed, start graphs, moves per walk, tag of the new names) of the two walks
-INVARIANT_WALKS = (99, ("square_lattice", "honeycomb"), 12, "f%d")
-STRAND_WALK = (7, ("square_lattice",), 15, "t%d")
+def _cover(name, lattice):
+    return tg.cover(tg.catalog(name).graph, lattice, at_copy)
+
+
+# (seed, start graphs, moves per walk, tag of the new names) of the two walks; the
+# covers walk after the catalog graphs, whose walks keep the draws they had before
+INVARIANT_WALKS = (
+    99,
+    (
+        tg.catalog("square_lattice").graph,
+        tg.catalog("honeycomb").graph,
+        _cover("honeycomb", (3, 1, 1)),
+        _cover("square_lattice", (2, 1, 1)),
+        _cover("honeycomb", (2, 1, 2)),
+    ),
+    12,
+    "f%d",
+)
+STRAND_WALK = (7, (tg.catalog("square_lattice").graph,), 15, "t%d")
 
 
 def random_walks(seed, starts, steps, tag):
-    """Seeded walks of random moves, one from each catalog graph in `starts`.
+    """Seeded walks of random moves, one from each graph in `starts`.
 
     Yields (step, g, w, move, outcome) per move, g and w being the graph and
     weights before the move; each walk starts with weights drawn from the rng.
     """
     rng = random.Random(seed)
-    for start in starts:
-        g = tg.catalog(start).graph
+    for g in starts:
         w = tg.random_weights(g, rng)
         for step in range(steps):
             move = rng.choice(_applicable_moves(g, rng))
@@ -114,7 +129,7 @@ def random_walks(seed, starts, steps, tag):
 
 
 def walk_graphs(every=3):
-    """Every `every`-th graph, with its weights, of the two walks below."""
+    """Every `every`-th graph, with its weights, of the two walks above."""
     for walk in (INVARIANT_WALKS, STRAND_WALK):
         for step, _, _, _, out in random_walks(*walk):
             if step % every == every - 1:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dimermod import intlin, polygon as poly, spectral as sp, torusgraph as tg
 from dimermod.groups import pair
 from test_fuzz_moves import walk_graphs
+from test_torusgraph import cover_corpus
 
 
 def test_laurent_arithmetic():
@@ -469,6 +470,18 @@ def _kasteleyn_signs_lists(g):
     return {e: (-1) ** x[idx[e]] for e in edge_ids}
 
 
+def test_small_covers_have_the_matching_sum_and_the_zigzag_polygon():
+    """On every cover of the corpus with at most 16 edges: det K is the matching sum, and all ones spans the zig-zag polygon."""
+    rng = random.Random(58)
+    small = [h for _, _, h in cover_corpus() if len(h.edges) <= 16]
+    assert len(small) == 25
+    for h in small:
+        weights = tg.random_weights(h, rng)
+        assert sp.kasteleyn_polynomial(h, weights) == sp.matching_polynomial(h, weights)
+        got = sp.newton_polygon_of_poly(sp.kasteleyn_polynomial(h, tg.all_ones_weights(h)))
+        assert poly.translation_equal(got, tg.newton_polygon(h)[0])
+
+
 def test_bitmask_signs_equal_the_list_elimination():
     names = list(tg.CATALOG_NAMES) + ["honeycomb_%d" % k for k in range(3, 7)] + ["square_lattice_%d" % k for k in (3, 4)]
     graphs = [tg.catalog(name).graph for name in names] + [g for g, _ in walk_graphs()]
@@ -561,7 +574,7 @@ def _region_cases():
 def test_region_det_matches_box_oracle():
     for pack_bits in (NODE, sp.PACK_BITS):
         cases, bad = _region_mismatches(pack_bits)
-        assert bad == [] and cases == 4 * 29
+        assert bad == [] and cases == 4 * 41
 
 
 def test_region_det_matches_box_oracle_under_python_O():
@@ -573,7 +586,7 @@ def test_region_det_matches_box_oracle_under_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     flag, cases, bad = out.stdout.split(" ", 2)
-    assert flag == "1" and int(cases) == 4 * 29 and bad.strip() == "[]"
+    assert flag == "1" and int(cases) == 4 * 41 and bad.strip() == "[]"
 
 
 def _support_rows(p):

@@ -525,6 +525,38 @@ def test_honeycomb_2_is_doubled_triangle():
     assert ok
 
 
+def at_copy(x, r, s):
+    """The id x@r_x,r_y of a cover's copy of x, an edge named after its black end's copy."""
+    return "%s@%d,%d" % (x, *r)
+
+
+def cover_corpus():
+    """(lattice, base, cover) for both bases and every lattice (a, b, c) with a*c <= 9 and 0 <= b < a."""
+    for name in ("honeycomb", "square_lattice"):
+        base = tg.catalog(name).graph
+        for a in range(1, 10):
+            for c in range(1, 9 // a + 1):
+                for b in range(a):
+                    yield (a, b, c), base, tg.cover(base, (a, b, c), at_copy)
+
+
+def predicted_newton(base, lattice):
+    """The Newton polygon of a cover: each side vector (x, y) of the base's becomes (c x - b y, a y)."""
+    a, b, c = lattice
+    p, _ = tg.newton_polygon(base)
+    return poly.polygon_from_edge_vectors([(c * x - b * y, a * y) for x, y in p.sides])
+
+
+def test_covers_are_minimal_graphs_of_the_predicted_polygon():
+    for lattice, base, h in cover_corpus():
+        a, b, c = lattice
+        assert len(h.vertices) == a * c * len(base.vertices) and len(h.edges) == a * c * len(base.edges)
+        assert tg.validate_graph(h.to_json()).span_index == 1
+        assert tg.check_minimality(h) == (True, None), lattice
+        got, _ = tg.newton_polygon(h)
+        assert poly.translation_equal(got, predicted_newton(base, lattice)), (lattice, got.vertices)
+
+
 def test_parse_weights():
     assert tg.parse_weights({"a": "3/-6", "b": 4, "c": "-7"}) == {
         "a": Fraction(-1, 2),
